@@ -394,12 +394,6 @@ func QueryTypeStream(ctx context.Context, m *Mapping, views *Views, ts TableStor
 	return orm.QueryTypeStream(ctx, m, views, ts, entityType, opts)
 }
 
-// EachEntity streams one entity type's query view through a callback;
-// returning an error from the callback stops the stream.
-func EachEntity(ctx context.Context, m *Mapping, views *Views, ts TableStore, entityType string, opts ExecOptions, fn func(*Entity) error) error {
-	return orm.EachEntity(ctx, m, views, ts, entityType, opts, fn)
-}
-
 // LoadStream is Load over the streaming executor: it decodes a whole
 // client state from a TableStore without materializing the store as maps.
 func LoadStream(ctx context.Context, m *Mapping, views *Views, ts TableStore, opts ExecOptions) (*ClientState, error) {

@@ -64,8 +64,9 @@ type Options struct {
 	// NoSimplify disables query-tree simplification of generated views and
 	// of containment inputs (the simplifier ablation).
 	NoSimplify bool
-	// NaiveCells disables theory pruning during cell enumeration, visiting
-	// all 2^n boolean assignments (the cell-pruning ablation).
+	// NaiveCells turns enumeration-engine pruning off (the cell-pruning
+	// ablation): validation visits all 2^n boolean assignments and checks
+	// each with the engine's cond.ConsistentAssignment.
 	NaiveCells bool
 	// Parallelism is the number of validation workers. 0 means
 	// runtime.GOMAXPROCS(0); 1 runs the exact sequential algorithm. Any

@@ -424,7 +424,7 @@ func (e *enumEngine) subjFeasible(s *eSubject) bool {
 }
 
 // gatherLits collects the group's assigned literals into the engine's
-// scratch buffer (the slow path shared with the historical checker).
+// scratch buffer (the slow path).
 func (e *enumEngine) gatherLits(g *eGroup) []attrLit {
 	lits := e.litsBuf[:0]
 	for _, mi := range g.members {
@@ -445,7 +445,7 @@ func (e *enumEngine) gatherLits(g *eGroup) []attrLit {
 
 // slowSubjectConsistent is the gather path for subjects with more concrete
 // candidates than the bitmask covers: per candidate, re-check type literals
-// and every attribute group, exactly as ConsistentAssignment does.
+// and every attribute group.
 func (e *enumEngine) slowSubjectConsistent(s *eSubject) bool {
 	tls := e.tlsBuf[:0]
 	for _, ti := range s.typeMembers {

@@ -74,14 +74,6 @@ func Satisfiable(t Theory, x Expr) bool {
 	return satisfiableCDCL(t, x, Atoms(x), nil, nil)
 }
 
-// satisfiableNaive is the historical DPLL tree search, retained as the
-// differential-testing oracle for the CDCL solver.
-func satisfiableNaive(t Theory, x Expr) bool {
-	s := &solver{t: t, atoms: Atoms(x), asg: Assignment{}}
-	s.buildIndex()
-	return s.search(0, x)
-}
-
 // Implies reports whether every theory-consistent instance satisfying a
 // also satisfies b.
 func Implies(t Theory, a, b Expr) bool {
@@ -198,35 +190,26 @@ func EnumerateAllAssignmentsIndexed(atoms []Atom, visit func(Assignment, []int8)
 }
 
 // ConsistentAssignment reports whether a full assignment admits a witness
-// instance under the theory.
+// instance under the theory. It replays the assignment atom by atom through
+// the enumeration engine, requiring the theory to stay feasible after each.
 func ConsistentAssignment(t Theory, asg Assignment) bool {
-	s := &solver{t: t, asg: asg}
-	subjects := map[string]bool{}
+	atoms := make([]Atom, 0, len(asg))
 	for a := range asg {
-		subjects[a.subject()] = true
+		atoms = append(atoms, a)
 	}
-	for subj := range subjects {
-		if !s.subjectConsistent(subj) {
+	SortAtoms(atoms)
+	e := newEnumEngine(t, atoms)
+	for i, a := range atoms {
+		var v int8
+		if asg[a] {
+			v = 1
+		}
+		e.assign(i, v)
+		if !e.feasibleAfter(i) {
 			return false
 		}
 	}
 	return true
-}
-
-type solver struct {
-	t     Theory
-	atoms []Atom
-	asg   Assignment
-
-	// Lazily built indices over atoms, used to localize consistency checks
-	// and avoid hashing large atom keys in the enumeration hot path.
-	attrAtoms map[string][]int // attr -> indices of its null/cmp atoms
-	typedSubj map[string]bool  // subject -> has type atoms or concrete types
-	vals      []int8           // per-atom truth: -1 unassigned, 0 false, 1 true
-	litsBuf   []attrLit        // scratch buffer for group literals
-	cmpsBuf   []attrLit        // scratch buffer for comparison literals
-	domCache  map[string]domEntry
-	indexed   bool
 }
 
 // domEntry caches per-attribute theory lookups for the enumeration hot
@@ -237,126 +220,6 @@ type domEntry struct {
 	nullable bool
 }
 
-func (s *solver) attrInfo(attr string) domEntry {
-	if e, ok := s.domCache[attr]; ok {
-		return e
-	}
-	if s.domCache == nil {
-		s.domCache = map[string]domEntry{}
-	}
-	var e domEntry
-	e.dom, e.known = s.t.Domain(attr)
-	e.nullable = s.t.Nullable(attr)
-	s.domCache[attr] = e
-	return e
-}
-
-func (s *solver) buildIndex() {
-	if s.indexed {
-		return
-	}
-	s.indexed = true
-	s.attrAtoms = map[string][]int{}
-	s.typedSubj = map[string]bool{}
-	s.vals = make([]int8, len(s.atoms))
-	for i, a := range s.atoms {
-		s.vals[i] = -1
-		switch a.Kind {
-		case AtomType:
-			s.typedSubj[a.subject()] = true
-		default:
-			s.attrAtoms[a.Attr] = append(s.attrAtoms[a.Attr], i)
-		}
-	}
-	// Seed values already present in the assignment (callers may start
-	// from a partial assignment).
-	for i, a := range s.atoms {
-		if v, ok := s.asg[a]; ok {
-			if v {
-				s.vals[i] = 1
-			} else {
-				s.vals[i] = 0
-			}
-		}
-	}
-}
-
-// subjectTyped reports whether consistency of the subject couples its
-// attribute groups (through the choice of a concrete type).
-func (s *solver) subjectTyped(subject string) bool {
-	s.buildIndex()
-	return s.typedSubj[subject] || len(s.t.ConcreteTypes(subject)) > 0
-}
-
-func (s *solver) search(i int, x Expr) bool {
-	if v, known := evalPartial(x, s.asg); known {
-		// The partial assignment is theory-consistent by construction, so a
-		// witness exists for the assigned atoms; unassigned atoms take
-		// whatever truth values the witness induces without affecting x.
-		return v
-	}
-	if i >= len(s.atoms) {
-		return false
-	}
-	a := s.atoms[i]
-	for _, val := range [2]bool{true, false} {
-		s.assign(i, a, val)
-		if s.consistentForIdx(i) && s.search(i+1, x) {
-			s.unassign(i, a)
-			return true
-		}
-	}
-	s.unassign(i, a)
-	return false
-}
-
-func (s *solver) assign(i int, a Atom, val bool) {
-	s.asg[a] = val
-	if val {
-		s.vals[i] = 1
-	} else {
-		s.vals[i] = 0
-	}
-}
-
-func (s *solver) unassign(i int, a Atom) {
-	delete(s.asg, a)
-	s.vals[i] = -1
-}
-
-// consistentForIdx re-checks the consistency of the subject touched by the
-// i-th atom under the current partial assignment. For untyped subjects the
-// attribute groups are independent, so only the touched group needs
-// re-checking — this keeps exhaustive cell enumeration at O(group) per
-// search node, using int-indexed values and scratch buffers to stay off
-// the allocator.
-func (s *solver) consistentForIdx(i int) bool {
-	a := s.atoms[i]
-	subject := a.subject()
-	if s.subjectTyped(subject) {
-		return s.subjectConsistent(subject)
-	}
-	if a.Kind == AtomType {
-		// Positive type literals are unsatisfiable on untyped subjects.
-		return s.vals[i] != 1
-	}
-	lits := s.litsBuf[:0]
-	for _, gi := range s.attrAtoms[a.Attr] {
-		v := s.vals[gi]
-		if v < 0 {
-			continue
-		}
-		ga := s.atoms[gi]
-		if ga.Kind == AtomNull {
-			lits = append(lits, attrLit{null: true, pos: v == 1})
-		} else {
-			lits = append(lits, attrLit{op: ga.Op, val: ga.Val, pos: v == 1})
-		}
-	}
-	s.litsBuf = lits
-	return s.attrFeasible(a.Attr, lits, true)
-}
-
 func (a Atom) subject() string {
 	if a.Kind == AtomType {
 		return a.Var
@@ -365,69 +228,6 @@ func (a Atom) subject() string {
 		return a.Attr[:i]
 	}
 	return ""
-}
-
-// subjectConsistent checks whether the assigned literals about one subject
-// admit a witness: a concrete type (for typed subjects) together with
-// per-attribute values or NULLs.
-func (s *solver) subjectConsistent(subject string) bool {
-	var typeLits []typeLit
-	attrLits := map[string][]attrLit{}
-	for a, val := range s.asg {
-		if a.subject() != subject {
-			continue
-		}
-		switch a.Kind {
-		case AtomType:
-			typeLits = append(typeLits, typeLit{typ: a.Type, only: a.Only, pos: val})
-		case AtomNull:
-			attrLits[a.Attr] = append(attrLits[a.Attr], attrLit{null: true, pos: val})
-		case AtomCmp:
-			attrLits[a.Attr] = append(attrLits[a.Attr], attrLit{op: a.Op, val: a.Val, pos: val})
-		}
-	}
-	candidates := s.t.ConcreteTypes(subject)
-	if len(candidates) == 0 {
-		// Untyped subject: every positive type literal is unsatisfiable and
-		// attribute groups stand alone.
-		for _, tl := range typeLits {
-			if tl.pos {
-				return false
-			}
-		}
-		for attr, lits := range attrLits {
-			if !s.attrFeasible(attr, lits, true) {
-				return false
-			}
-		}
-		return true
-	}
-	// Typed subject: some concrete type must satisfy the type literals and
-	// admit all attribute groups.
-	for _, c := range candidates {
-		if !typeLitsHold(s.t, c, typeLits) {
-			continue
-		}
-		ok := true
-		for attr, lits := range attrLits {
-			if !s.t.HasAttr(c, bareAttr(attr)) {
-				// The attribute does not exist on this type, hence is NULL.
-				if forcedNonNull(lits) {
-					ok = false
-					break
-				}
-				continue
-			}
-			if !s.attrFeasible(attr, lits, false) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return true
-		}
-	}
-	return false
 }
 
 func bareAttr(attr string) string {
@@ -486,16 +286,10 @@ func forcedNull(lits []attrLit) bool {
 	return false
 }
 
-// attrFeasible reports whether a single attribute admits a value (or NULL)
-// consistent with its assigned literals.
-func (s *solver) attrFeasible(attr string, lits []attrLit, untyped bool) bool {
-	return attrFeasibleLits(s.attrInfo(attr), lits, &s.cmpsBuf)
-}
-
-// attrFeasibleLits is the domain reasoning shared by the historical solver
-// and the enumeration engine: whether one attribute admits a value (or
-// NULL) consistent with its assigned literals. cmpsBuf is caller-owned
-// scratch, grown as needed.
+// attrFeasibleLits is the domain reasoning of the enumeration engine and
+// of the naive DPLL oracle in the tests: whether one attribute admits a
+// value (or NULL) consistent with its assigned literals. cmpsBuf is
+// caller-owned scratch, grown as needed.
 func attrFeasibleLits(info domEntry, lits []attrLit, cmpsBuf *[]attrLit) bool {
 	// Option 1: the attribute is NULL. All comparisons are then false.
 	if info.nullable && !forcedNonNull(lits) {

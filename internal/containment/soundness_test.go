@@ -8,6 +8,7 @@ import (
 	"github.com/ormkit/incmap/internal/cond"
 	"github.com/ormkit/incmap/internal/containment"
 	"github.com/ormkit/incmap/internal/cqt"
+	"github.com/ormkit/incmap/internal/difftest"
 	"github.com/ormkit/incmap/internal/state"
 	"github.com/ormkit/incmap/internal/workload"
 )
@@ -51,10 +52,10 @@ func TestContainmentSoundOnData(t *testing.T) {
 
 	f := func(seed uint32, nP, nE, nC uint8) bool {
 		cs := randomState(seed, int(nP%5), int(nE%5), int(nC%5))
-		env := &cqt.Env{Catalog: m.Catalog(), Client: cs}
+		env := &difftest.Env{Catalog: m.Catalog(), Client: cs}
 		results := make([][]state.Row, len(queries))
 		for i, q := range queries {
-			res, err := cqt.Eval(env, q)
+			res, err := difftest.Eval(env, q)
 			if err != nil {
 				t.Logf("eval error: %v", err)
 				return false
@@ -149,12 +150,12 @@ func TestFKContainmentSoundOnData(t *testing.T) {
 	}
 	// Concrete confirmation.
 	cs := workload.PaperClientState()
-	env := &cqt.Env{Catalog: m.Catalog(), Client: cs}
-	l, err := cqt.Eval(env, lhs)
+	env := &difftest.Env{Catalog: m.Catalog(), Client: cs}
+	l, err := difftest.Eval(env, lhs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := cqt.Eval(env, rhs)
+	r, err := difftest.Eval(env, rhs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"github.com/ormkit/incmap/internal/compiler"
 	"github.com/ormkit/incmap/internal/cond"
 	"github.com/ormkit/incmap/internal/cqt"
+	"github.com/ormkit/incmap/internal/difftest"
 	"github.com/ormkit/incmap/internal/edm"
 	"github.com/ormkit/incmap/internal/frag"
 	"github.com/ormkit/incmap/internal/orm"
@@ -328,7 +329,7 @@ func TestSoundnessRestriction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	okOld, err := m.SatisfiedBy(old, ssOld)
+	okOld, err := difftest.SatisfiedBy(m, old, ssOld)
 	if err != nil || !okOld {
 		t.Fatalf("old state does not satisfy old mapping: %v %v", okOld, err)
 	}
@@ -338,7 +339,7 @@ func TestSoundnessRestriction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	okNew, err := m2.SatisfiedBy(old, ssOld)
+	okNew, err := difftest.SatisfiedBy(m2, old, ssOld)
 	if err != nil || !okNew {
 		t.Fatalf("f(c) does not satisfy adapted mapping: %v %v", okNew, err)
 	}

@@ -7,7 +7,6 @@ import (
 	"github.com/ormkit/incmap/internal/cond"
 	"github.com/ormkit/incmap/internal/edm"
 	"github.com/ormkit/incmap/internal/rel"
-	"github.com/ormkit/incmap/internal/state"
 )
 
 func fixtureCatalog(t *testing.T) *Catalog {
@@ -59,96 +58,6 @@ func fixtureCatalog(t *testing.T) *Catalog {
 	return &Catalog{Client: c, Store: s}
 }
 
-func fixtureEnv(t *testing.T) *Env {
-	t.Helper()
-	cat := fixtureCatalog(t)
-	store := state.NewStoreState()
-	store.InsertRow("HR", state.Row{"Id": cond.Int(1), "Name": cond.String("ann")})
-	store.InsertRow("HR", state.Row{"Id": cond.Int(2), "Name": cond.String("bob")})
-	store.InsertRow("Emp", state.Row{"Id": cond.Int(2), "Dept": cond.String("hw")})
-
-	client := state.NewClientState()
-	client.Insert("Persons", &state.Entity{Type: "Person", Attrs: state.Row{"Id": cond.Int(1), "Name": cond.String("ann")}})
-	client.Insert("Persons", &state.Entity{Type: "Employee", Attrs: state.Row{"Id": cond.Int(2), "Name": cond.String("bob"), "Department": cond.String("hw")}})
-	client.Insert("Persons", &state.Entity{Type: "Customer", Attrs: state.Row{"Id": cond.Int(3), "Name": cond.String("cyd"), "CredScore": cond.Int(700)}})
-	client.Relate("Supports", state.AssocPair{Ends: state.Row{"Customer_Id": cond.Int(3), "Employee_Id": cond.Int(2)}})
-
-	return &Env{Catalog: cat, Client: client, Store: store}
-}
-
-func TestScanTableAndSelect(t *testing.T) {
-	env := fixtureEnv(t)
-	q := Select{In: ScanTable{Table: "HR"}, Cond: cond.Cmp{Attr: "Id", Op: cond.OpGe, Val: cond.Int(2)}}
-	res, err := Eval(env, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 || res.Rows[0]["Name"].Str() != "bob" {
-		t.Fatalf("rows = %v", res.Rows)
-	}
-}
-
-func TestScanSetWithTypeConditions(t *testing.T) {
-	env := fixtureEnv(t)
-	q := Project{
-		In:   Select{In: ScanSet{Set: "Persons"}, Cond: cond.TypeIs{Type: "Person"}},
-		Cols: []ProjCol{Col("Id"), Col("Name")},
-	}
-	res, err := Eval(env, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("IS OF Person should see derived types, got %d rows", len(res.Rows))
-	}
-	only := Select{In: ScanSet{Set: "Persons"}, Cond: cond.TypeIs{Type: "Person", Only: true}}
-	res, err = Eval(env, only)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 {
-		t.Fatalf("IS OF ONLY Person, got %d rows", len(res.Rows))
-	}
-}
-
-func TestScanAssoc(t *testing.T) {
-	env := fixtureEnv(t)
-	res, err := Eval(env, ScanAssoc{Assoc: "Supports"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Cols) != 2 || len(res.Rows) != 1 {
-		t.Fatalf("cols=%v rows=%v", res.Cols, res.Rows)
-	}
-	if res.Rows[0]["Customer_Id"].IntVal() != 3 {
-		t.Fatalf("assoc row = %v", res.Rows[0])
-	}
-}
-
-func TestProjectWithLiterals(t *testing.T) {
-	env := fixtureEnv(t)
-	q := Project{
-		In: ScanTable{Table: "Emp"},
-		Cols: []ProjCol{
-			Col("Id"),
-			ColAs("Dept", "Department"),
-			LitAs(Const(cond.Bool(true)), "from_Emp"),
-			LitAs(NullOf(cond.KindString), "BillAddr"),
-		},
-	}
-	res, err := Eval(env, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	row := res.Rows[0]
-	if row["Department"].Str() != "hw" || !row["from_Emp"].BoolVal() {
-		t.Fatalf("row = %v", row)
-	}
-	if _, ok := row["BillAddr"]; ok {
-		t.Fatalf("BillAddr should be NULL")
-	}
-}
-
 func personQueryView() *View {
 	// Q_Person from §2.2: HR left-outer-join Emp with a provenance flag.
 	q := Join{
@@ -180,93 +89,6 @@ func personQueryView() *View {
 				Attrs: map[string]string{"Id": "Id", "Name": "Name"},
 			},
 		},
-	}
-}
-
-func TestLeftOuterJoinAndConstructor(t *testing.T) {
-	env := fixtureEnv(t)
-	view := personQueryView()
-	ents, err := view.ConstructEntities(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 2 {
-		t.Fatalf("got %d entities", len(ents))
-	}
-	byID := map[int64]*state.Entity{}
-	for _, e := range ents {
-		byID[e.Attrs["Id"].IntVal()] = e
-	}
-	if byID[1].Type != "Person" || byID[2].Type != "Employee" {
-		t.Fatalf("types = %v / %v", byID[1].Type, byID[2].Type)
-	}
-	if byID[2].Attrs["Department"].Str() != "hw" {
-		t.Fatalf("employee attrs = %v", byID[2].Attrs)
-	}
-}
-
-func TestFullOuterJoin(t *testing.T) {
-	env := fixtureEnv(t)
-	env.Store.InsertRow("Emp", state.Row{"Id": cond.Int(9), "Dept": cond.String("orphan")})
-	q := Join{
-		Kind: FullOuter,
-		L:    ScanTable{Table: "HR"},
-		R: Project{
-			In:   ScanTable{Table: "Emp"},
-			Cols: []ProjCol{Col("Id"), ColAs("Dept", "Department")},
-		},
-		On: [][2]string{{"Id", "Id"}},
-	}
-	res, err := Eval(env, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// ann (left only), bob (matched), orphan (right only).
-	if len(res.Rows) != 3 {
-		t.Fatalf("rows = %v", res.Rows)
-	}
-}
-
-func TestUnionAll(t *testing.T) {
-	env := fixtureEnv(t)
-	a := Project{In: ScanTable{Table: "HR"}, Cols: []ProjCol{Col("Id")}}
-	b := Project{In: ScanTable{Table: "Emp"}, Cols: []ProjCol{Col("Id")}}
-	res, err := Eval(env, UnionAll{Inputs: []Expr{a, b}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	// Mismatched columns must fail.
-	bad := UnionAll{Inputs: []Expr{a, ScanTable{Table: "Emp"}}}
-	if _, err := Eval(env, bad); err == nil {
-		t.Fatal("union with mismatched columns accepted")
-	}
-}
-
-func TestJoinSharedColumnGuard(t *testing.T) {
-	env := fixtureEnv(t)
-	// HR and Emp share only "Id"; joining on nothing must be rejected.
-	q := Join{Kind: Inner, L: ScanTable{Table: "HR"}, R: ScanTable{Table: "Emp"}}
-	if _, err := Eval(env, q); err == nil {
-		t.Fatal("join with unequated shared column accepted")
-	}
-}
-
-func TestUpdateViewEvaluation(t *testing.T) {
-	env := fixtureEnv(t)
-	// Q_Emp from §2.2: project employees of the Persons set.
-	q := Project{
-		In:   Select{In: ScanSet{Set: "Persons"}, Cond: cond.TypeIs{Type: "Employee"}},
-		Cols: []ProjCol{Col("Id"), ColAs("Department", "Dept")},
-	}
-	res, err := Eval(env, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 || res.Rows[0]["Dept"].Str() != "hw" {
-		t.Fatalf("rows = %v", res.Rows)
 	}
 }
 
@@ -350,22 +172,6 @@ func TestSimplifyLOJElimination(t *testing.T) {
 	}
 }
 
-func TestSimplifyPreservesSemantics(t *testing.T) {
-	env := fixtureEnv(t)
-	view := personQueryView()
-	before, err := Eval(env, view.Q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after, err := Eval(env, Simplify(env.Catalog, view.Q))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !state.EqualRows(before.Rows, after.Rows) {
-		t.Fatalf("simplification changed semantics:\n%v\nvs\n%v", before.Rows, after.Rows)
-	}
-}
-
 func TestUnionFlattenAndEmptyElimination(t *testing.T) {
 	cat := fixtureCatalog(t)
 	u := UnionAll{Inputs: []Expr{
@@ -422,3 +228,9 @@ func TestAssocEndColsSelfAssociation(t *testing.T) {
 		t.Fatalf("self-association end columns collide: %v %v", e1, e2)
 	}
 }
+
+// Fixtures shared with the external evaluator tests in eval_test.go.
+var (
+	FixtureCatalog  = fixtureCatalog
+	PersonQueryView = personQueryView
+)

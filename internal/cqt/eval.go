@@ -1,37 +1,9 @@
 package cqt
 
 import (
-	"fmt"
-	"strings"
-
 	"github.com/ormkit/incmap/internal/cond"
 	"github.com/ormkit/incmap/internal/state"
 )
-
-// Env supplies the data a query tree runs over. Query views read Store;
-// update views read Client.
-type Env struct {
-	Catalog *Catalog
-	Client  *state.ClientState
-	Store   *state.StoreState
-}
-
-// tuple is an intermediate row: column values plus the entity types of the
-// subjects contributing to it (for IS OF conditions).
-type tuple struct {
-	types map[string]string
-	data  state.Row
-}
-
-func (t tuple) instanceType(subject string) string { return t.types[subject] }
-
-func (t tuple) Lookup(attr string) (cond.Value, bool) {
-	v, ok := t.data[attr]
-	return v, ok
-}
-
-// InstanceType implements cond.Instance.
-func (t tuple) InstanceType(subject string) string { return t.instanceType(subject) }
 
 // Result is the relational output of evaluating a query tree.
 type Result struct {
@@ -39,279 +11,21 @@ type Result struct {
 	Rows []state.Row
 }
 
-// Eval evaluates the query tree over the environment.
-func Eval(env *Env, e Expr) (*Result, error) {
-	cols, err := env.Catalog.Cols(e)
-	if err != nil {
-		return nil, err
-	}
-	ts, err := eval(env, e)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]state.Row, len(ts))
-	for i, t := range ts {
-		rows[i] = t.data
-	}
-	return &Result{Cols: cols, Rows: rows}, nil
-}
-
-func eval(env *Env, e Expr) ([]tuple, error) {
-	switch v := e.(type) {
-	case ScanTable:
-		if env.Store == nil {
-			return nil, fmt.Errorf("cqt: table scan %q without a store state", v.Table)
-		}
-		if env.Catalog.Store.Table(v.Table) == nil {
-			return nil, fmt.Errorf("cqt: unknown table %q", v.Table)
-		}
-		rows := env.Store.Tables[v.Table]
-		out := make([]tuple, len(rows))
-		for i, r := range rows {
-			out[i] = tuple{data: r.Clone()}
-		}
-		return out, nil
-
-	case ScanSet:
-		if env.Client == nil {
-			return nil, fmt.Errorf("cqt: entity-set scan %q without a client state", v.Set)
-		}
-		if env.Catalog.Client.Set(v.Set) == nil {
-			return nil, fmt.Errorf("cqt: unknown entity set %q", v.Set)
-		}
-		es := env.Client.Entities[v.Set]
-		out := make([]tuple, len(es))
-		for i, ent := range es {
-			out[i] = tuple{types: map[string]string{"": ent.Type}, data: ent.Attrs.Clone()}
-		}
-		return out, nil
-
-	case ScanAssoc:
-		if env.Client == nil {
-			return nil, fmt.Errorf("cqt: association scan %q without a client state", v.Assoc)
-		}
-		if env.Catalog.Client.Association(v.Assoc) == nil {
-			return nil, fmt.Errorf("cqt: unknown association %q", v.Assoc)
-		}
-		ps := env.Client.Assocs[v.Assoc]
-		out := make([]tuple, len(ps))
-		for i, p := range ps {
-			out[i] = tuple{data: p.Ends.Clone()}
-		}
-		return out, nil
-
-	case Select:
-		in, err := eval(env, v.In)
-		if err != nil {
-			return nil, err
-		}
-		var out []tuple
-		th := EvalTheory(env.Catalog)
-		for _, t := range in {
-			if cond.EvalOn(th, v.Cond, t) {
-				out = append(out, t)
-			}
-		}
-		return out, nil
-
-	case Project:
-		in, err := eval(env, v.In)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]tuple, len(in))
-		for i, t := range in {
-			nr := make(state.Row, len(v.Cols))
-			for _, pc := range v.Cols {
-				if pc.Lit != nil {
-					if val, ok := pc.Lit.Value(); ok {
-						nr[pc.As] = val
-					}
-					continue
-				}
-				if val, ok := t.data[pc.Src]; ok {
-					nr[pc.As] = val
-				}
-			}
-			out[i] = tuple{types: t.types, data: nr}
-		}
-		return out, nil
-
-	case Join:
-		return evalJoin(env, v)
-
-	case UnionAll:
-		var out []tuple
-		var cols0 []string
-		for i, in := range v.Inputs {
-			cs, err := env.Catalog.Cols(in)
-			if err != nil {
-				return nil, err
-			}
-			if i == 0 {
-				cols0 = cs
-			} else if !sameColSet(cols0, cs) {
-				return nil, fmt.Errorf("cqt: union inputs have different columns: %v vs %v", cols0, cs)
-			}
-			ts, err := eval(env, in)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, ts...)
-		}
-		return out, nil
-	}
-	return nil, fmt.Errorf("cqt: unknown expression %T", e)
-}
-
-// evalTheoryWith wraps the client schema so IS OF conditions inside query
+// queryTheory wraps the client schema so IS OF conditions inside query
 // trees see the real hierarchy.
-type evalTheoryWith struct {
+type queryTheory struct {
 	cat *Catalog
 }
 
-func (t evalTheoryWith) ConcreteTypes(string) []string { return nil }
-func (t evalTheoryWith) IsSubtype(sub, typ string) bool {
+func (t queryTheory) ConcreteTypes(string) []string { return nil }
+func (t queryTheory) IsSubtype(sub, typ string) bool {
 	return t.cat.Client.IsSubtype(sub, typ)
 }
-func (t evalTheoryWith) Domain(string) (cond.Domain, bool) { return cond.Domain{}, false }
-func (t evalTheoryWith) Nullable(string) bool              { return true }
-func (t evalTheoryWith) HasAttr(string, string) bool       { return true }
+func (t queryTheory) Domain(string) (cond.Domain, bool) { return cond.Domain{}, false }
+func (t queryTheory) Nullable(string) bool              { return true }
+func (t queryTheory) HasAttr(string, string) bool       { return true }
 
-// EvalTheory returns the condition theory query evaluation runs under:
+// QueryTheory returns the condition theory query evaluation runs under:
 // IS OF sees the catalog's real client hierarchy, everything else is free.
-// The streaming executor shares it so both evaluation paths agree on
-// selection semantics by construction.
-func EvalTheory(cat *Catalog) cond.Theory { return evalTheoryWith{cat: cat} }
-
-func sameColSet(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	set := make(map[string]bool, len(a))
-	for _, x := range a {
-		set[x] = true
-	}
-	for _, x := range b {
-		if !set[x] {
-			return false
-		}
-	}
-	return true
-}
-
-func evalJoin(env *Env, j Join) ([]tuple, error) {
-	lcols, err := env.Catalog.Cols(j.L)
-	if err != nil {
-		return nil, err
-	}
-	rcols, err := env.Catalog.Cols(j.R)
-	if err != nil {
-		return nil, err
-	}
-	// Shared column names must be equated by the join.
-	shared := map[string]bool{}
-	for _, lc := range lcols {
-		for _, rc := range rcols {
-			if lc == rc {
-				shared[lc] = true
-			}
-		}
-	}
-	for s := range shared {
-		ok := false
-		for _, p := range j.On {
-			if p[0] == s && p[1] == s {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return nil, fmt.Errorf("cqt: join inputs share column %q without equating it", s)
-		}
-	}
-
-	lt, err := eval(env, j.L)
-	if err != nil {
-		return nil, err
-	}
-	rt, err := eval(env, j.R)
-	if err != nil {
-		return nil, err
-	}
-
-	keyOf := func(t tuple, cols []string) (string, bool) {
-		var b strings.Builder
-		for _, c := range cols {
-			v, ok := t.data[c]
-			if !ok {
-				return "", false // NULL never matches
-			}
-			b.WriteString(v.String())
-			b.WriteByte('\x00')
-		}
-		return b.String(), true
-	}
-	lOn := make([]string, len(j.On))
-	rOn := make([]string, len(j.On))
-	for i, p := range j.On {
-		lOn[i], rOn[i] = p[0], p[1]
-	}
-
-	index := map[string][]int{}
-	for i, t := range rt {
-		if k, ok := keyOf(t, rOn); ok {
-			index[k] = append(index[k], i)
-		}
-	}
-
-	merge := func(l, r tuple) (tuple, error) {
-		types := map[string]string{}
-		for s, ty := range l.types {
-			types[s] = ty
-		}
-		for s, ty := range r.types {
-			if prev, dup := types[s]; dup && prev != ty {
-				return tuple{}, fmt.Errorf("cqt: join merges conflicting subject types %q/%q", prev, ty)
-			}
-			types[s] = ty
-		}
-		data := l.data.Clone()
-		for c, v := range r.data {
-			if _, exists := data[c]; !exists {
-				data[c] = v
-			}
-		}
-		return tuple{types: types, data: data}, nil
-	}
-
-	var out []tuple
-	rMatched := make([]bool, len(rt))
-	for _, l := range lt {
-		matched := false
-		if k, ok := keyOf(l, lOn); ok {
-			for _, ri := range index[k] {
-				m, err := merge(l, rt[ri])
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, m)
-				matched = true
-				rMatched[ri] = true
-			}
-		}
-		if !matched && (j.Kind == LeftOuter || j.Kind == FullOuter) {
-			// Pad the right side with NULLs: simply keep the left tuple,
-			// since absent keys already read as NULL.
-			out = append(out, tuple{types: l.types, data: l.data.Clone()})
-		}
-	}
-	if j.Kind == FullOuter {
-		for i, r := range rt {
-			if !rMatched[i] {
-				out = append(out, tuple{types: r.types, data: r.data.Clone()})
-			}
-		}
-	}
-	return out, nil
-}
+// Every evaluator of query trees selects under it.
+func QueryTheory(cat *Catalog) cond.Theory { return queryTheory{cat: cat} }

@@ -45,28 +45,6 @@ func (v *View) Clone() *View {
 	return out
 }
 
-// ConstructEntities evaluates the view and applies its constructor,
-// yielding entities.
-func (v *View) ConstructEntities(env *Env) ([]*state.Entity, error) {
-	res, err := Eval(env, v.Q)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*state.Entity, 0, len(res.Rows))
-	for _, row := range res.Rows {
-		e, err := applyCases(v.Cases, row)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, e)
-	}
-	return out, nil
-}
-
-func applyCases(cases []Case, row state.Row) (*state.Entity, error) {
-	return ConstructEntity(cases, row)
-}
-
 // ConstructEntity applies a view constructor τ to one relational row: the
 // first matching case builds the entity. A row matching no case is an
 // error — every row a query view emits must be constructible.

@@ -101,40 +101,11 @@ func TestFormatConstructorMultiCase(t *testing.T) {
 }
 
 func TestConstructorNoMatchErrors(t *testing.T) {
-	_, err := applyCases([]Case{
+	_, err := ConstructEntity([]Case{
 		{When: cond.False{}, Type: "X", Attrs: nil},
 	}, state.Row{"a": cond.Int(1)})
 	if err == nil {
 		t.Fatal("unmatched row accepted")
-	}
-}
-
-func TestEvalErrorsOnUnknownTargets(t *testing.T) {
-	cat := fixtureCatalog(t)
-	env := &Env{Catalog: cat, Store: state.NewStoreState(), Client: state.NewClientState()}
-	if _, err := Eval(env, ScanTable{Table: "Nope"}); err == nil {
-		t.Error("unknown table accepted")
-	}
-	if _, err := Eval(env, ScanSet{Set: "Nope"}); err == nil {
-		t.Error("unknown set accepted")
-	}
-	if _, err := Eval(env, ScanAssoc{Assoc: "Nope"}); err == nil {
-		t.Error("unknown association accepted")
-	}
-	if _, err := Eval(env, Project{In: ScanTable{Table: "HR"}, Cols: []ProjCol{Col("Ghost")}}); err != nil {
-		// Projecting an absent column yields NULL rather than an error
-		// (absent map keys are NULL); ensure it does not crash.
-		t.Errorf("projection of absent column errored: %v", err)
-	}
-}
-
-func TestEvalWithoutStateErrors(t *testing.T) {
-	cat := fixtureCatalog(t)
-	if _, err := Eval(&Env{Catalog: cat}, ScanTable{Table: "HR"}); err == nil {
-		t.Error("table scan without store accepted")
-	}
-	if _, err := Eval(&Env{Catalog: cat}, ScanSet{Set: "Persons"}); err == nil {
-		t.Error("set scan without client accepted")
 	}
 }
 

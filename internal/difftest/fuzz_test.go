@@ -1,13 +1,3 @@
-// Package difftest cross-checks the two compilation paths of the fallback
-// ladder against each other: a sequence of planned SMOs is applied once
-// through the incremental compiler (validate + adapt views) and once
-// through structural application followed by a full compilation. Whenever
-// the incremental path accepts the sequence, the full path must accept it
-// too, and the two resulting view sets must be semantically equal: they
-// materialize a random client state to the same store state, and both
-// satisfy the roundtripping property V ∘ Q = identity. Divergence is a bug
-// in one of the compilers — exactly the class of defect §3 of the paper's
-// incremental adaptation rules can introduce.
 package difftest
 
 import (

@@ -13,15 +13,17 @@ import (
 	"github.com/ormkit/incmap/internal/orm"
 	"github.com/ormkit/incmap/internal/state"
 	"github.com/ormkit/incmap/internal/workload"
+	"github.com/ormkit/incmap/internal/xver"
 )
 
 // Differential testing of the streaming executor: random client states
 // over the chain / hub-rim / customer / paper workload families, every
-// compiled view evaluated once through the materializing ORM path
-// (cqt.Eval, orm.Materialize, orm.QueryType) and once through the
-// streaming executor over a segmented RingStore, compared as multisets.
-// The materializing path is the oracle; any divergence is an executor
-// bug and gets a pinned regression test below.
+// compiled view evaluated once through the reference tree-walker
+// (oracle.go) and once through each production entry point that runs the
+// executor — orm.Materialize, orm.MaterializeInto, orm.QueryTypeStream,
+// orm.LoadStream, orm.Load, xver.Plan.ReadClient and raw exec.Open —
+// compared as multisets. Any divergence is an executor bug and gets a
+// pinned regression test below.
 
 // buildStreamWorkload maps two fuzz bytes onto a workload family and
 // size. Unlike buildWorkload it includes the fixed paper and customer
@@ -67,9 +69,13 @@ func runStreamDifferential(t *testing.T, wl, size byte, stateSeed uint32, batch 
 	cs := orm.RandomState(m, stateSeed, 4)
 	opts := exec.Options{BatchSize: 1 + int(batch)%64}
 
-	// Write path: streaming materialization into a ring store must equal
-	// the materializing path row-for-row per table (as multisets).
-	want, err := orm.Materialize(m, v, cs)
+	// Write path: both orm materializers must equal the reference
+	// row-for-row per table (as multisets).
+	want, err := Materialize(m, v, cs)
+	if err != nil {
+		t.Fatalf("reference materialize: %v", err)
+	}
+	viaMap, err := orm.Materialize(m, v, cs)
 	if err != nil {
 		t.Fatalf("materialize: %v", err)
 	}
@@ -77,50 +83,69 @@ func runStreamDifferential(t *testing.T, wl, size byte, stateSeed uint32, batch 
 	if err != nil {
 		t.Fatalf("streaming materialize: %v", err)
 	}
-	got, err := ring.Snapshot()
+	viaRing, err := ring.Snapshot()
 	if err != nil {
 		t.Fatalf("ring snapshot: %v", err)
 	}
-	if d := state.DiffStore(want, got); d != "" {
-		t.Fatalf("streaming materialization diverges (wl=%d size=%d seed=%d batch=%d):\n%s",
-			wl, size, stateSeed, batch, d)
+	for name, got := range map[string]*state.StoreState{"Materialize": viaMap, "MaterializeInto": viaRing} {
+		if d := state.DiffStore(want, got); d != "" {
+			t.Fatalf("%s diverges (wl=%d size=%d seed=%d batch=%d):\n%s",
+				name, wl, size, stateSeed, batch, d)
+		}
 	}
 
-	// Read path: every query view, materializing vs streaming, as entity
-	// multisets; then the whole client state through LoadStream.
+	// Read path: every query view as entity multisets; then the whole
+	// client state through LoadStream, Load and a cross-version reader
+	// whose plan spans this generation and itself.
 	for ty := range v.Query {
-		wantEnts, err := orm.QueryType(m, v, want, ty)
+		wantEnts, err := QueryType(m, v, want, ty)
 		if err != nil {
-			t.Fatalf("QueryType(%s): %v", ty, err)
+			t.Fatalf("reference QueryType(%s): %v", ty, err)
 		}
-		gotEnts, err := orm.QueryTypeStreamed(ctx, m, v, ring, ty, opts)
+		it, err := orm.QueryTypeStream(ctx, m, v, ring, ty, opts)
 		if err != nil {
-			t.Fatalf("QueryTypeStreamed(%s): %v", ty, err)
+			t.Fatalf("QueryTypeStream(%s): %v", ty, err)
 		}
-		if d := diffEntityMultiset(wantEnts, gotEnts); d != "" {
+		gotEnts, err := exec.CollectEntities(it)
+		if err != nil {
+			t.Fatalf("QueryTypeStream(%s): %v", ty, err)
+		}
+		if d := diffMultiset("entities", canonical(wantEnts), canonical(gotEnts)); d != "" {
 			t.Fatalf("query view %s diverges (wl=%d size=%d seed=%d batch=%d): %s",
 				ty, wl, size, stateSeed, batch, d)
 		}
 	}
-	wantCS, err := orm.Load(m, v, want)
+	wantCS, err := Load(m, v, want)
 	if err != nil {
-		t.Fatalf("load: %v", err)
+		t.Fatalf("reference load: %v", err)
 	}
-	gotCS, err := orm.LoadStream(ctx, m, v, ring, opts)
+	gen := xver.Gen{M: m, V: v}
+	plan, err := xver.Compile(gen, gen, xver.Strategies{})
 	if err != nil {
-		t.Fatalf("streaming load: %v", err)
+		t.Fatalf("cross-version plan: %v", err)
 	}
-	if d := state.Diff(wantCS, gotCS); d != "" {
-		t.Fatalf("streaming load diverges (wl=%d size=%d seed=%d batch=%d):\n%s",
-			wl, size, stateSeed, batch, d)
+	readers := map[string]func() (*state.ClientState, error){
+		"LoadStream": func() (*state.ClientState, error) { return orm.LoadStream(ctx, m, v, ring, opts) },
+		"Load":       func() (*state.ClientState, error) { return orm.Load(m, v, want) },
+		"ReadClient": func() (*state.ClientState, error) { return plan.ReadClient(ctx, ring, opts) },
+	}
+	for name, read := range readers {
+		gotCS, err := read()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if d := state.Diff(wantCS, gotCS); d != "" {
+			t.Fatalf("%s diverges (wl=%d size=%d seed=%d batch=%d):\n%s",
+				name, wl, size, stateSeed, batch, d)
+		}
 	}
 
-	// Relational layer: every compiled expression (update and association
-	// views included) through cqt.Eval vs exec.Collect.
-	matEnv := &cqt.Env{Catalog: m.Catalog(), Client: cs, Store: want}
+	// Relational layer: every compiled expression through the reference
+	// Eval vs exec.Collect.
+	refEnv := &Env{Catalog: m.Catalog(), Client: cs, Store: want}
 	execEnv := &exec.Env{Catalog: m.Catalog(), Store: ring, Client: cs}
 	check := func(kind, name string, q cqt.Expr) {
-		res, err := cqt.Eval(matEnv, q)
+		res, err := Eval(refEnv, q)
 		if err != nil {
 			t.Fatalf("%s view %s: eval: %v", kind, name, err)
 		}
@@ -132,10 +157,13 @@ func runStreamDifferential(t *testing.T, wl, size byte, stateSeed uint32, batch 
 		if err != nil {
 			t.Fatalf("%s view %s: collect: %v", kind, name, err)
 		}
-		if d := diffRowMultiset(res.Rows, sres.Rows); d != "" {
+		if d := diffMultiset("rows", canonical(res.Rows), canonical(sres.Rows)); d != "" {
 			t.Fatalf("%s view %s diverges (wl=%d size=%d seed=%d batch=%d): %s",
 				kind, name, wl, size, stateSeed, batch, d)
 		}
+	}
+	for ty, view := range v.Query {
+		check("query", ty, view.Q)
 	}
 	for table, view := range v.Update {
 		check("update", table, view.Q)
@@ -145,39 +173,23 @@ func runStreamDifferential(t *testing.T, wl, size byte, stateSeed uint32, batch 
 	}
 }
 
-func diffRowMultiset(want, got []state.Row) string {
-	if len(want) != len(got) {
-		return fmt.Sprintf("%d rows materializing, %d streaming", len(want), len(got))
+// canonical renders rows or entities as a sorted multiset.
+func canonical[T interface{ Canonical() string }](xs []T) []string {
+	out := make([]string, len(xs))
+	for i, x := range xs {
+		out[i] = x.Canonical()
 	}
-	a := make([]string, len(want))
-	b := make([]string, len(got))
-	for i := range want {
-		a[i], b[i] = want[i].Canonical(), got[i].Canonical()
-	}
-	sort.Strings(a)
-	sort.Strings(b)
-	for i := range a {
-		if a[i] != b[i] {
-			return fmt.Sprintf("row multiset differs: %q vs %q", a[i], b[i])
-		}
-	}
-	return ""
+	sort.Strings(out)
+	return out
 }
 
-func diffEntityMultiset(want, got []*state.Entity) string {
+func diffMultiset(what string, want, got []string) string {
 	if len(want) != len(got) {
-		return fmt.Sprintf("%d entities materializing, %d streaming", len(want), len(got))
+		return fmt.Sprintf("%d %s reference, %d streaming", len(want), what, len(got))
 	}
-	a := make([]string, len(want))
-	b := make([]string, len(got))
 	for i := range want {
-		a[i], b[i] = want[i].Canonical(), got[i].Canonical()
-	}
-	sort.Strings(a)
-	sort.Strings(b)
-	for i := range a {
-		if a[i] != b[i] {
-			return fmt.Sprintf("entity multiset differs: %q vs %q", a[i], b[i])
+		if want[i] != got[i] {
+			return fmt.Sprintf("%s multiset differs: %q vs %q", what, want[i], got[i])
 		}
 	}
 	return ""

@@ -137,7 +137,7 @@ func TestIteratorBatchStraddle(t *testing.T) {
 				if err != nil {
 					t.Fatalf("collect: %v", err)
 				}
-				want := canonicalRows(base.Rows)
+				want := canonical(base.Rows)
 				for _, batch := range []int{1, 2, 5} {
 					it, err := exec.Open(ctx, env, q, exec.Options{BatchSize: batch})
 					if err != nil {
@@ -147,7 +147,7 @@ func TestIteratorBatchStraddle(t *testing.T) {
 					if err != nil {
 						t.Fatalf("collect batch=%d: %v", batch, err)
 					}
-					equalMultisets(t, "batch straddle", want, canonicalRows(got.Rows))
+					equalMultisets(t, "batch straddle", want, canonical(got.Rows))
 				}
 			}
 		})

@@ -48,7 +48,7 @@ func (o Options) spill() int {
 
 // Env supplies the data a streaming evaluation runs over: query views
 // scan Store, update views scan Client. A nil Store or Client fails the
-// corresponding scan at open time, like the materializing evaluator.
+// corresponding scan at open time.
 type Env struct {
 	Catalog *cqt.Catalog
 	Store   TableStore
@@ -257,7 +257,7 @@ func open(ctx context.Context, env *Env, e cqt.Expr, opts Options, parent *obsv.
 		}
 		return &selectIter{
 			opBase: opBase{cols: cols, sp: parent.Child("exec.select")},
-			in:     in, cond: v.Cond, th: cqt.EvalTheory(env.Catalog),
+			in:     in, cond: v.Cond, th: cqt.QueryTheory(env.Catalog),
 		}, nil
 
 	case cqt.Project:

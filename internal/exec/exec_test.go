@@ -10,6 +10,7 @@ import (
 	"github.com/ormkit/incmap/internal/compiler"
 	"github.com/ormkit/incmap/internal/cond"
 	"github.com/ormkit/incmap/internal/cqt"
+	"github.com/ormkit/incmap/internal/difftest"
 	"github.com/ormkit/incmap/internal/exec"
 	"github.com/ormkit/incmap/internal/frag"
 	"github.com/ormkit/incmap/internal/orm"
@@ -17,8 +18,8 @@ import (
 	"github.com/ormkit/incmap/internal/workload"
 )
 
-// compileWL compiles a workload mapping and returns it with its views and
-// a random client state.
+// compileWL compiles a workload mapping and returns its views, a random
+// client state and that state materialized by the reference evaluator.
 func compileWL(t *testing.T, m *frag.Mapping, seed uint32) (*frag.Views, *state.ClientState, *state.StoreState) {
 	t.Helper()
 	c := &compiler.Compiler{}
@@ -27,28 +28,18 @@ func compileWL(t *testing.T, m *frag.Mapping, seed uint32) (*frag.Views, *state.
 		t.Fatalf("compile: %v", err)
 	}
 	cs := orm.RandomState(m, seed, 4)
-	ss, err := orm.Materialize(m, v, cs)
+	ss, err := difftest.Materialize(m, v, cs)
 	if err != nil {
 		t.Fatalf("materialize: %v", err)
 	}
 	return v, cs, ss
 }
 
-// canonicalRows renders rows as a sorted multiset.
-func canonicalRows(rows []state.Row) []string {
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		out[i] = r.Canonical()
-	}
-	sort.Strings(out)
-	return out
-}
-
-// canonicalEnts renders entities as a sorted multiset.
-func canonicalEnts(es []*state.Entity) []string {
-	out := make([]string, len(es))
-	for i, e := range es {
-		out[i] = e.Canonical()
+// canonical renders rows or entities as a sorted multiset.
+func canonical[T interface{ Canonical() string }](xs []T) []string {
+	out := make([]string, len(xs))
+	for i, x := range xs {
+		out[i] = x.Canonical()
 	}
 	sort.Strings(out)
 	return out
@@ -57,23 +48,23 @@ func canonicalEnts(es []*state.Entity) []string {
 func equalMultisets(t *testing.T, what string, want, got []string) {
 	t.Helper()
 	if len(want) != len(got) {
-		t.Fatalf("%s: materializing path has %d rows, streaming has %d", what, len(want), len(got))
+		t.Fatalf("%s: reference evaluator has %d rows, streaming has %d", what, len(want), len(got))
 	}
 	for i := range want {
 		if want[i] != got[i] {
-			t.Fatalf("%s: multisets diverge at %d:\n  materialize: %s\n  stream:      %s", what, i, want[i], got[i])
+			t.Fatalf("%s: multisets diverge at %d:\n  reference: %s\n  stream:    %s", what, i, want[i], got[i])
 		}
 	}
 }
 
 // checkAllViews streams every compiled view of the mapping and compares
-// each against the materializing evaluator, over both a RingStore and a
+// each against the reference evaluator in internal/difftest, over both a RingStore and a
 // MapStore and across several batch sizes.
 func checkAllViews(t *testing.T, m *frag.Mapping, v *frag.Views, cs *state.ClientState, ss *state.StoreState, batch int) {
 	t.Helper()
 	ctx := context.Background()
 	opts := exec.Options{BatchSize: batch}
-	matEnv := &cqt.Env{Catalog: m.Catalog(), Client: cs, Store: ss}
+	refEnv := &difftest.Env{Catalog: m.Catalog(), Client: cs, Store: ss}
 	stores := map[string]exec.TableStore{
 		"ring": exec.RingFromState(ss, 3),
 		"map":  exec.NewMapStore(ss),
@@ -81,14 +72,14 @@ func checkAllViews(t *testing.T, m *frag.Mapping, v *frag.Views, cs *state.Clien
 
 	for storeName, ts := range stores {
 		execEnv := &exec.Env{Catalog: m.Catalog(), Store: ts, Client: cs}
-
-		for ty, view := range v.Query {
-			what := fmt.Sprintf("query view %s (%s, batch %d)", ty, storeName, batch)
-			res, err := cqt.Eval(matEnv, view.Q)
+		check := func(kind, name string, q cqt.Expr) {
+			t.Helper()
+			what := fmt.Sprintf("%s view %s (%s, batch %d)", kind, name, storeName, batch)
+			res, err := difftest.Eval(refEnv, q)
 			if err != nil {
-				t.Fatalf("%s: materializing eval: %v", what, err)
+				t.Fatalf("%s: reference eval: %v", what, err)
 			}
-			it, err := exec.Open(ctx, execEnv, view.Q, opts)
+			it, err := exec.Open(ctx, execEnv, q, opts)
 			if err != nil {
 				t.Fatalf("%s: open: %v", what, err)
 			}
@@ -96,9 +87,12 @@ func checkAllViews(t *testing.T, m *frag.Mapping, v *frag.Views, cs *state.Clien
 			if err != nil {
 				t.Fatalf("%s: collect: %v", what, err)
 			}
-			equalMultisets(t, what, canonicalRows(res.Rows), canonicalRows(got.Rows))
-
-			wantEnts, err := view.ConstructEntities(matEnv)
+			equalMultisets(t, what, canonical(res.Rows), canonical(got.Rows))
+		}
+		for ty, view := range v.Query {
+			check("query", ty, view.Q)
+			what := fmt.Sprintf("query view %s entities (%s, batch %d)", ty, storeName, batch)
+			wantEnts, err := difftest.ConstructEntities(refEnv, view)
 			if err != nil {
 				t.Fatalf("%s: construct: %v", what, err)
 			}
@@ -110,41 +104,13 @@ func checkAllViews(t *testing.T, m *frag.Mapping, v *frag.Views, cs *state.Clien
 			if err != nil {
 				t.Fatalf("%s: collect entities: %v", what, err)
 			}
-			equalMultisets(t, what+" entities", canonicalEnts(wantEnts), canonicalEnts(gotEnts))
+			equalMultisets(t, what, canonical(wantEnts), canonical(gotEnts))
 		}
-
 		for table, view := range v.Update {
-			what := fmt.Sprintf("update view %s (%s, batch %d)", table, storeName, batch)
-			res, err := cqt.Eval(matEnv, view.Q)
-			if err != nil {
-				t.Fatalf("%s: materializing eval: %v", what, err)
-			}
-			it, err := exec.Open(ctx, execEnv, view.Q, opts)
-			if err != nil {
-				t.Fatalf("%s: open: %v", what, err)
-			}
-			got, err := exec.Collect(it)
-			if err != nil {
-				t.Fatalf("%s: collect: %v", what, err)
-			}
-			equalMultisets(t, what, canonicalRows(res.Rows), canonicalRows(got.Rows))
+			check("update", table, view.Q)
 		}
-
 		for assoc, view := range v.Assoc {
-			what := fmt.Sprintf("assoc view %s (%s, batch %d)", assoc, storeName, batch)
-			res, err := cqt.Eval(matEnv, view.Q)
-			if err != nil {
-				t.Fatalf("%s: materializing eval: %v", what, err)
-			}
-			it, err := exec.Open(ctx, execEnv, view.Q, opts)
-			if err != nil {
-				t.Fatalf("%s: open: %v", what, err)
-			}
-			got, err := exec.Collect(it)
-			if err != nil {
-				t.Fatalf("%s: collect: %v", what, err)
-			}
-			equalMultisets(t, what, canonicalRows(res.Rows), canonicalRows(got.Rows))
+			check("assoc", assoc, view.Q)
 		}
 	}
 }
@@ -181,7 +147,7 @@ func TestPaperClientState(t *testing.T) {
 		t.Fatalf("compile: %v", err)
 	}
 	cs := workload.PaperClientState()
-	ss, err := orm.Materialize(m, v, cs)
+	ss, err := difftest.Materialize(m, v, cs)
 	if err != nil {
 		t.Fatalf("materialize: %v", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"github.com/ormkit/incmap/internal/difftest"
 	"github.com/ormkit/incmap/internal/exec"
 	"github.com/ormkit/incmap/internal/faultinject"
 	"github.com/ormkit/incmap/internal/state"
@@ -25,17 +26,26 @@ func TestScanFaultMidStream(t *testing.T) {
 		t.Fatalf("snapshot before fault: %v", err)
 	}
 
+	// The fault must land inside the stream, so read the view with the most
+	// entities (ties broken by name) rather than whichever comes first in
+	// map order, which is sometimes too short for the third batch.
+	ty, most := "", -1
+	for qt := range v.Query {
+		ents, err := difftest.QueryType(m, v, ss, qt)
+		if err != nil {
+			t.Fatalf("reference QueryType(%s): %v", qt, err)
+		}
+		if len(ents) > most || (len(ents) == most && qt < ty) {
+			ty, most = qt, len(ents)
+		}
+	}
+
 	for _, nth := range []int64{1, 2, 3} {
 		deactivate := faultinject.Activate(faultinject.Plan{Rules: []faultinject.Rule{
 			{Site: faultinject.SiteExecScan, Kind: faultinject.KindError, Nth: nth},
 		}})
 
 		env := &exec.Env{Catalog: m.Catalog(), Store: ring}
-		var ty string
-		for qt := range v.Query {
-			ty = qt
-			break
-		}
 		it, err := exec.OpenView(context.Background(), env, v.Query[ty], exec.Strict, exec.Options{BatchSize: 1})
 		if err != nil {
 			deactivate()

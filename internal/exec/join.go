@@ -9,8 +9,8 @@ import (
 	"github.com/ormkit/incmap/internal/obsv"
 )
 
-// joinIter is a streaming hash join with the same semantics as the
-// materializing evaluator: the right input is the build side (drained
+// joinIter is a streaming hash join with the semantics of the reference
+// evaluator in internal/difftest: the right input is the build side (drained
 // fully into a hash index on first pull), the left input streams through
 // as probe. Tuples with a NULL join key never match; merging keeps the
 // left tuple's values on column collision and errors on conflicting
@@ -47,8 +47,8 @@ func openJoin(ctx context.Context, env *Env, j cqt.Join, cols []string, opts Opt
 	if err != nil {
 		return nil, err
 	}
-	// Shared column names must be equated by the join (same check as the
-	// materializing evaluator, made at open time here).
+	// Shared column names must be equated by the join (checked at open
+	// time, before any row moves).
 	shared := map[string]bool{}
 	for _, lc := range lcols {
 		for _, rc := range rcols {

@@ -1,18 +1,18 @@
-// Package exec is the streaming view executor: it evaluates compiled cqt
-// query and update views as trees of composable pull iterators over
-// batched rows, instead of materializing whole states as the cqt
-// evaluator does. Scans pull from a TableStore — an append/scan interface
-// with an in-memory segmented ring implementation and an adapter over the
-// existing map-backed state.StoreState — so the data a view runs over no
-// longer has to fit behind a single map copy. Selection, projection,
-// hash joins (inner/left-outer/full-outer), union-all and constructor
-// (CASE) application all stream batch-at-a-time; only a join's build side
-// blocks, and it reports the rows it holds.
+// Package exec is the view executor: every production evaluation of a
+// compiled cqt query or update view runs here, as a tree of composable
+// pull iterators over batched rows. Scans pull from a TableStore — an
+// append/scan interface with an in-memory segmented ring implementation
+// and an adapter over the map-backed state.StoreState — so the data a view
+// runs over never has to be copied into an intermediate state. Selection,
+// projection, hash joins (inner/left-outer/full-outer), union-all and
+// constructor (CASE) application all stream batch-at-a-time; only a join's
+// build side blocks, and it reports the rows it holds.
 //
-// The executor is held to the materializing path by differential tests
-// (internal/difftest's FuzzExecVsMaterialize), in the spirit of
-// Incremental Relational Lenses: correctness of the incremental/streaming
-// artifact is established against the naive recompute, not by inspection.
+// The executor is held to an independent reference evaluator — the naive
+// tree-walker in internal/difftest, which no production code calls — by
+// differential tests (FuzzExecVsMaterialize), in the spirit of Incremental
+// Relational Lenses: correctness of the streaming artifact is established
+// against the naive recompute, not by inspection.
 package exec
 
 import (

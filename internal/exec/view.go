@@ -100,9 +100,9 @@ func (e *EntityIter) Close() error {
 	return e.in.Close()
 }
 
-// Collect drains an iterator into a materialized result. It exists for
-// tests and differential comparison; production readers should consume
-// batches as they stream.
+// Collect drains an iterator into a materialized result: the collect
+// helper behind the orm and cross-version readers that return whole
+// states. Readers that can consume batches as they stream should.
 func Collect(it Iterator) (*cqt.Result, error) {
 	defer it.Close()
 	res := &cqt.Result{Cols: it.Cols()}

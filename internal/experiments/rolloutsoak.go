@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -362,7 +361,7 @@ func RolloutSoak(opt RolloutSoakOptions) (RolloutSoakResult, error) {
 		return sts
 	}
 
-	fp1 := make([]string, opt.Tenants)    // post-cutover fingerprint: every later rollback must restore it
+	fp1 := make([]string, opt.Tenants)      // post-cutover fingerprint: every later rollback must restore it
 	baseline := make([]string, opt.Tenants) // checksum the rollbacks must restore
 	res.Rollouts += opt.Tenants
 	for i, rst := range round("Extra1", 21) {
@@ -526,12 +525,4 @@ func RolloutSoak(opt RolloutSoakOptions) (RolloutSoakResult, error) {
 		violate("%d reads answered 5xx", res.Read5xx)
 	}
 	return res, nil
-}
-
-func percentiles(lat []time.Duration) (p50, p99 float64) {
-	if len(lat) == 0 {
-		return 0, 0
-	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	return float64(lat[len(lat)/2].Microseconds()), float64(lat[len(lat)*99/100].Microseconds())
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -260,10 +259,6 @@ func ServeSoak(opt ServeSoakOptions) (ServeSoakResult, error) {
 	if res.Reads > 0 {
 		res.StaleRate = float64(res.StaleReads) / float64(res.Reads)
 	}
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	if n := len(latencies); n > 0 {
-		res.ReadP50Us = float64(latencies[n/2].Microseconds())
-		res.ReadP99Us = float64(latencies[n*99/100].Microseconds())
-	}
+	res.ReadP50Us, res.ReadP99Us = percentiles(latencies)
 	return res, nil
 }

@@ -293,7 +293,7 @@ func Stream(opt StreamOptions) (StreamResult, error) {
 		}
 		scanRows += rows
 		allLat = append(allLat, lats...)
-		p50, p99 := latPercentiles(lats)
+		p50, p99 := percentiles(lats)
 		perView = append(perView, StreamViewLat{View: name, Rows: rows, Batches: batches, P50Us: p50, P99Us: p99})
 		return nil
 	}
@@ -332,7 +332,7 @@ func Stream(opt StreamOptions) (StreamResult, error) {
 	if peak > base {
 		res.StreamPeakBytes = peak - base
 	}
-	res.BatchP50Us, res.BatchP99Us = latPercentiles(allLat)
+	res.BatchP50Us, res.BatchP99Us = percentiles(allLat)
 	sort.Slice(perView, func(i, j int) bool { return perView[i].P99Us > perView[j].P99Us })
 	if len(perView) > 20 {
 		perView = perView[:20]
@@ -352,8 +352,9 @@ func Stream(opt StreamOptions) (StreamResult, error) {
 	return res, nil
 }
 
-// latPercentiles returns the p50 and p99 of a latency sample in µs.
-func latPercentiles(lats []time.Duration) (p50, p99 float64) {
+// percentiles returns the p50 and p99 of a latency sample in fractional
+// µs. The sample is copied, not reordered.
+func percentiles(lats []time.Duration) (p50, p99 float64) {
 	if len(lats) == 0 {
 		return 0, 0
 	}

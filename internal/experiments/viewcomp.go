@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -8,6 +9,7 @@ import (
 	"github.com/ormkit/incmap/internal/cond"
 	"github.com/ormkit/incmap/internal/core"
 	"github.com/ormkit/incmap/internal/cqt"
+	"github.com/ormkit/incmap/internal/exec"
 	"github.com/ormkit/incmap/internal/frag"
 	"github.com/ormkit/incmap/internal/orm"
 	"github.com/ormkit/incmap/internal/state"
@@ -108,13 +110,15 @@ func CompareViews(chainSize int) ([]ViewComparison, error) {
 }
 
 func compareOne(m *frag.Mapping, opName, tyName string, incView, fullView *cqt.View, ss *state.StoreState) (ViewComparison, error) {
-	env := &cqt.Env{Catalog: m.Catalog(), Store: ss}
+	env := &exec.Env{Catalog: m.Catalog(), Store: exec.NewMapStore(ss)}
 	timeEval := func(v *cqt.View) (time.Duration, []*state.Entity, error) {
 		start := time.Now()
 		var ents []*state.Entity
-		var err error
 		for i := 0; i < 10; i++ {
-			ents, err = v.ConstructEntities(env)
+			it, err := exec.OpenView(context.TODO(), env, v, exec.Strict, exec.Options{})
+			if err == nil {
+				ents, err = exec.CollectEntities(it)
+			}
 			if err != nil {
 				return 0, nil, err
 			}

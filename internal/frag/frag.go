@@ -18,7 +18,6 @@ import (
 	"github.com/ormkit/incmap/internal/cqt"
 	"github.com/ormkit/incmap/internal/edm"
 	"github.com/ormkit/incmap/internal/rel"
-	"github.com/ormkit/incmap/internal/state"
 )
 
 // Fragment is one mapping equation. Exactly one of Set and Assoc is
@@ -358,26 +357,6 @@ func (m *Mapping) checkFragment(f *Fragment) error {
 		}
 	}
 	return nil
-}
-
-// SatisfiedBy reports whether the given pair of states is in the mapping's
-// relation M: every fragment equation holds.
-func (m *Mapping) SatisfiedBy(client *state.ClientState, store *state.StoreState) (bool, error) {
-	env := &cqt.Env{Catalog: m.Catalog(), Client: client, Store: store}
-	for _, f := range m.Frags {
-		l, err := cqt.Eval(env, f.ClientQuery())
-		if err != nil {
-			return false, fmt.Errorf("fragment %s left side: %w", f.ID, err)
-		}
-		r, err := cqt.Eval(env, f.StoreQuery())
-		if err != nil {
-			return false, fmt.Errorf("fragment %s right side: %w", f.ID, err)
-		}
-		if !state.EqualRows(l.Rows, r.Rows) {
-			return false, nil
-		}
-	}
-	return true, nil
 }
 
 // Views is the compiled form of a mapping: one query view per entity type,

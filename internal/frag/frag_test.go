@@ -8,7 +8,6 @@ import (
 	"github.com/ormkit/incmap/internal/cqt"
 	"github.com/ormkit/incmap/internal/edm"
 	"github.com/ormkit/incmap/internal/rel"
-	"github.com/ormkit/incmap/internal/state"
 )
 
 func testMapping(t *testing.T) *Mapping {
@@ -185,27 +184,6 @@ func TestCheckWellFormedErrors(t *testing.T) {
 	}
 }
 
-func TestSatisfiedBy(t *testing.T) {
-	m := testMapping(t)
-	cs := state.NewClientState()
-	cs.Insert("Persons", &state.Entity{Type: "Employee", Attrs: state.Row{
-		"Id": cond.Int(1), "Name": cond.String("a"), "Department": cond.String("d")}})
-	ss := state.NewStoreState()
-	ss.InsertRow("HR", state.Row{"Id": cond.Int(1), "Name": cond.String("a")})
-	ss.InsertRow("Emp", state.Row{"Id": cond.Int(1), "Dept": cond.String("d")})
-
-	ok, err := m.SatisfiedBy(cs, ss)
-	if err != nil || !ok {
-		t.Fatalf("consistent pair rejected: %v %v", ok, err)
-	}
-	// Remove the Emp row: the second equation breaks.
-	ss.Tables["Emp"] = nil
-	ok, err = m.SatisfiedBy(cs, ss)
-	if err != nil || ok {
-		t.Fatalf("inconsistent pair accepted: %v %v", ok, err)
-	}
-}
-
 func TestFragmentQueries(t *testing.T) {
 	m := testMapping(t)
 	f := m.Frags[1]
@@ -255,3 +233,6 @@ func TestViewsDeepClone(t *testing.T) {
 		t.Errorf("deep view clone shares constructor maps")
 	}
 }
+
+// FixtureMapping is the HR/Emp mapping, shared with the external tests.
+var FixtureMapping = testMapping

@@ -1,11 +1,13 @@
 package orm
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
 	"github.com/ormkit/incmap/internal/cond"
 	"github.com/ormkit/incmap/internal/cqt"
+	"github.com/ormkit/incmap/internal/exec"
 	"github.com/ormkit/incmap/internal/frag"
 	"github.com/ormkit/incmap/internal/state"
 )
@@ -79,12 +81,9 @@ func (db *DB) Update(fn func(cs *state.ClientState) error) error {
 // Query returns the entities visible through one entity type's view,
 // optionally filtered.
 func (db *DB) Query(entityType string, pred func(*state.Entity) bool) ([]*state.Entity, error) {
-	ents, err := QueryType(db.mapping, db.views, db.store, entityType)
-	if err != nil {
-		return nil, err
-	}
-	if pred == nil {
-		return ents, nil
+	ents, err := db.QueryWhere(entityType, cond.True{})
+	if err != nil || pred == nil {
+		return ents, err
 	}
 	out := ents[:0]
 	for _, e := range ents {
@@ -110,8 +109,12 @@ func (db *DB) QueryWhere(entityType string, c cond.Expr) ([]*state.Entity, error
 		Q:     cqt.Select{In: v.Q, Cond: c},
 		Cases: v.Cases,
 	}
-	env := &cqt.Env{Catalog: db.mapping.Catalog(), Store: db.store}
-	return unfolded.ConstructEntities(env)
+	env := &exec.Env{Catalog: db.mapping.Catalog(), Store: exec.NewMapStore(db.store)}
+	it, err := exec.OpenView(context.TODO(), env, unfolded, exec.Strict, exec.Options{})
+	if err != nil {
+		return nil, err
+	}
+	return exec.CollectEntities(it)
 }
 
 // Related returns the pairs of an association.

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/ormkit/incmap/internal/core"
+	"github.com/ormkit/incmap/internal/exec"
 	"github.com/ormkit/incmap/internal/faultinject"
 	"github.com/ormkit/incmap/internal/modelio"
 	"github.com/ormkit/incmap/internal/obsv"
@@ -611,7 +612,7 @@ func (r *rollout) verify() bool {
 	if err != nil {
 		r.diverge("verify", fmt.Sprintf("loading source state: %v", err))
 	} else {
-		cur, rerr := r.plan.ReadClient(data)
+		cur, rerr := r.plan.ReadClient(context.TODO(), exec.NewMapStore(data), exec.Options{})
 		switch {
 		case rerr != nil:
 			r.diverge("verify", rerr.Error())

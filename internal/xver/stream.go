@@ -9,14 +9,12 @@ import (
 	"github.com/ormkit/incmap/internal/state"
 )
 
-// ReadClientStream is ReadClient over a streaming table store: every old
-// entity set is read through its version-restricted constructor with the
-// streaming executor (rows constructing types the old version does not
-// know are skipped mid-stream, never buffered), every old association
-// through the new association view. Results are identical to ReadClient
-// by construction — both paths share the compiled views, the selection
-// theory and cqt.ConstructVisible.
-func (p *Plan) ReadClientStream(ctx context.Context, ts exec.TableStore, opts exec.Options) (*state.ClientState, error) {
+// ReadClient reads the version-k projection of a new-layout store: every
+// old entity set through its version-restricted constructor (rows
+// constructing types the old version does not know are skipped
+// mid-stream, never buffered), every old association through the new
+// association view.
+func (p *Plan) ReadClient(ctx context.Context, ts exec.TableStore, opts exec.Options) (*state.ClientState, error) {
 	env := &exec.Env{Catalog: p.To.M.Catalog(), Store: ts}
 	cs := state.NewClientState()
 	sets := make([]string, 0, len(p.readViews))

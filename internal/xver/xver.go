@@ -27,11 +27,13 @@
 package xver
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
 	"github.com/ormkit/incmap/internal/cond"
 	"github.com/ormkit/incmap/internal/cqt"
+	"github.com/ormkit/incmap/internal/exec"
 	"github.com/ormkit/incmap/internal/frag"
 	"github.com/ormkit/incmap/internal/orm"
 	"github.com/ormkit/incmap/internal/state"
@@ -378,47 +380,6 @@ func (p *Plan) Transform(ss *state.StoreState) (*state.StoreState, int, error) {
 	return out, lost, nil
 }
 
-// ReadClient reads the version-k projection of a new-layout store state:
-// every old entity set through its restricted constructor, every old
-// association through the new association view. Rows constructing types
-// the old version does not know are skipped.
-func (p *Plan) ReadClient(ss *state.StoreState) (*state.ClientState, error) {
-	env := &cqt.Env{Catalog: p.To.M.Catalog(), Store: ss}
-	cs := state.NewClientState()
-	sets := make([]string, 0, len(p.readViews))
-	for s := range p.readViews {
-		sets = append(sets, s)
-	}
-	sort.Strings(sets)
-	for _, setName := range sets {
-		v := p.readViews[setName]
-		res, err := cqt.Eval(env, v.Q)
-		if err != nil {
-			return nil, fmt.Errorf("xver: cross-read view for %s: %w", setName, err)
-		}
-		for _, row := range res.Rows {
-			if e, ok := cqt.ConstructVisible(v.Cases, row); ok {
-				cs.Insert(setName, e)
-			}
-		}
-	}
-	assocs := make([]string, 0, len(p.assocViews))
-	for a := range p.assocViews {
-		assocs = append(assocs, a)
-	}
-	sort.Strings(assocs)
-	for _, a := range assocs {
-		res, err := cqt.Eval(env, p.assocViews[a].Q)
-		if err != nil {
-			return nil, fmt.Errorf("xver: cross-read association view for %s: %w", a, err)
-		}
-		for _, row := range res.Rows {
-			cs.Relate(a, state.AssocPair{Ends: row})
-		}
-	}
-	return cs, nil
-}
-
 // WriteClient materializes a version-k client state into the version-k+1
 // store layout: through the old update views (whose output the old client
 // contractually produces), then through the compiled layout transform.
@@ -446,7 +407,7 @@ func (p *Plan) CheckRoundtrip(cs *state.ClientState) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	back, err := p.ReadClient(ss)
+	back, err := p.ReadClient(context.TODO(), exec.NewMapStore(ss), exec.Options{})
 	if err != nil {
 		return "", err
 	}
@@ -466,7 +427,7 @@ func (p *Plan) CheckMigration(oldStore *state.StoreState) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	after, err := p.ReadClient(migrated)
+	after, err := p.ReadClient(context.TODO(), exec.NewMapStore(migrated), exec.Options{})
 	if err != nil {
 		return "", err
 	}

@@ -9,6 +9,7 @@ import (
 	"github.com/ormkit/incmap/internal/cond"
 	"github.com/ormkit/incmap/internal/core"
 	"github.com/ormkit/incmap/internal/edm"
+	"github.com/ormkit/incmap/internal/exec"
 	"github.com/ormkit/incmap/internal/frag"
 	"github.com/ormkit/incmap/internal/modef"
 	"github.com/ormkit/incmap/internal/orm"
@@ -166,7 +167,7 @@ func TestNewVersionRowsInvisible(t *testing.T) {
 		t.Fatalf("materializing new-version state: %v", err)
 	}
 
-	got, err := plan.ReadClient(ss)
+	got, err := plan.ReadClient(context.Background(), exec.NewMapStore(ss), exec.Options{})
 	if err != nil {
 		t.Fatalf("cross-read over mixed store: %v", err)
 	}
