@@ -370,7 +370,7 @@ type (
 	RingStore = exec.RingStore
 	// MapStore adapts a materialized StoreState behind TableStore.
 	MapStore = exec.MapStore
-	// ExecOptions tunes the executor (batch size, spill threshold, tracer).
+	// ExecOptions tunes the executor (batch size, tracer).
 	ExecOptions = exec.Options
 	// EntityIter streams constructed entities out of a compiled query view.
 	EntityIter = exec.EntityIter

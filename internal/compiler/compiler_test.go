@@ -164,17 +164,6 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 }
 
-func TestSkipValidationStillGenerates(t *testing.T) {
-	c := &Compiler{Opts: Options{SkipValidation: true}}
-	views, err := c.Compile(workload.PaperFull())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := orm.Roundtrip(workload.PaperFull(), views, workload.PaperClientState()); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestNaiveCellsAblation(t *testing.T) {
 	fast := New()
 	if _, err := fast.Compile(workload.PaperFull()); err != nil {

@@ -58,9 +58,6 @@ func init() {
 
 // Options tunes the compiler; the zero value is the standard configuration.
 type Options struct {
-	// SkipValidation generates views without the roundtrip and constraint
-	// analysis. Used to separate generation cost from validation cost.
-	SkipValidation bool
 	// NoSimplify disables query-tree simplification of generated views and
 	// of containment inputs (the simplifier ablation).
 	NoSimplify bool
@@ -270,10 +267,8 @@ func (c *Compiler) CompileCtx(ctx context.Context, m *frag.Mapping) (views *frag
 		return nil, err
 	}
 
-	if !c.Opts.SkipValidation {
-		if err := c.validate(ctx, m, views); err != nil {
-			return nil, err
-		}
+	if err := c.validate(ctx, m, views); err != nil {
+		return nil, err
 	}
 
 	err = c.phase("query-views", func() error {

@@ -1,7 +1,7 @@
 package cond
 
 // The incremental theory index: shared machinery for exhaustive cell
-// enumeration (EnumerateCells and the legacy Enumerate* wrappers) and for
+// enumeration (EnumerateCells, and EnumerateAssignments in tests) and for
 // the CDCL solver's theory propagator (cdcl.go).
 //
 // The previous enumerator re-derived the feasibility of the touched
@@ -104,7 +104,8 @@ type enumEngine struct {
 	t     Theory
 	atoms []Atom
 	vals  []int8
-	// asg, when non-nil, mirrors vals as an Assignment for legacy visitors.
+	// asg, when non-nil, mirrors vals as an Assignment (for the tests'
+	// EnumerateAssignments).
 	asg Assignment
 
 	ea     []eAtom

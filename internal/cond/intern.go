@@ -100,30 +100,12 @@ func AgeIntern() int64 {
 	c := &internClock
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var aged int64
-	// One pass over the ring, front to back; evictions swap from the tail,
-	// so walk an index and only advance past survivors.
-	for i := 0; i < len(c.keys); {
-		key := c.keys[i]
-		e, ok := internTab.Load(key)
-		if !ok {
-			// Stale ring slot; drop it.
-			c.keys[i] = c.keys[len(c.keys)-1]
-			c.keys = c.keys[:len(c.keys)-1]
-			continue
-		}
-		p := refBitOf(e.(Expr))
-		if p != nil && atomic.LoadUint32(p) != 0 {
-			atomic.StoreUint32(p, 0)
-			i++
-			continue
-		}
-		internTab.Delete(key)
-		internSize.Add(-1)
-		aged++
-		c.keys[i] = c.keys[len(c.keys)-1]
-		c.keys = c.keys[:len(c.keys)-1]
-	}
+	// One revolution from the front of the ring: each of the len(keys)
+	// steps keeps or drops one slot, so every resident entry is visited
+	// exactly once (want = len(keys) never stops the sweep early). The
+	// capacity hand keeps its position.
+	i := 0
+	aged := sweepClock(&i, len(c.keys), len(c.keys))
 	if c.hand >= len(c.keys) {
 		c.hand = 0
 	}
@@ -153,43 +135,48 @@ func touchRef(x Expr) {
 	}
 }
 
-// internEvict runs the clock hand until it has reclaimed want entries (or
-// proven the ring empty). Entries with the reference bit set get their
-// second chance — the bit is cleared and the hand moves on; clear entries
-// are evicted. Callers hold no locks.
+// internEvict runs the capacity clock hand until it has reclaimed want
+// entries (or proven the ring empty). Callers hold no locks.
 func internEvict(want int) {
 	c := &internClock
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	// Two revolutions bound the scan: the first clears every set bit in the
 	// worst case, the second must then find victims.
-	budget := 2 * len(c.keys)
-	for want > 0 && len(c.keys) > 0 && budget > 0 {
-		budget--
-		if c.hand >= len(c.keys) {
-			c.hand = 0
-		}
-		key := c.keys[c.hand]
-		e, ok := internTab.Load(key)
-		if !ok {
-			// Stale ring slot; drop it.
-			c.keys[c.hand] = c.keys[len(c.keys)-1]
-			c.keys = c.keys[:len(c.keys)-1]
-			continue
-		}
-		p := refBitOf(e.(Expr))
-		if p != nil && atomic.LoadUint32(p) != 0 {
-			atomic.StoreUint32(p, 0)
-			c.hand++
-			continue
-		}
-		internTab.Delete(key)
-		internSize.Add(-1)
-		internEvictions.Add(1)
-		c.keys[c.hand] = c.keys[len(c.keys)-1]
-		c.keys = c.keys[:len(c.keys)-1]
-		want--
+	if n := sweepClock(&c.hand, 2*len(c.keys), want); n > 0 {
+		internEvictions.Add(n)
 	}
+}
+
+// sweepClock is the second-chance sweep both reclaimers share. It moves
+// *hand over at most steps ring slots, wrapping at the end, until want
+// entries are reclaimed: an entry with its reference bit set gets a second
+// chance (the bit is cleared and the hand moves on), a clear entry is
+// evicted, and a stale slot is dropped. Evictions and drops swap the tail
+// slot into place, so the hand stays put. It returns the number evicted;
+// the caller holds internClock.mu.
+func sweepClock(hand *int, steps, want int) int64 {
+	c := &internClock
+	var n int64
+	for ; steps > 0 && n < int64(want) && len(c.keys) > 0; steps-- {
+		if *hand >= len(c.keys) {
+			*hand = 0
+		}
+		key := c.keys[*hand]
+		if e, ok := internTab.Load(key); ok {
+			if p := refBitOf(e.(Expr)); p != nil && atomic.LoadUint32(p) != 0 {
+				atomic.StoreUint32(p, 0)
+				*hand++
+				continue
+			}
+			internTab.Delete(key)
+			internSize.Add(-1)
+			n++
+		}
+		c.keys[*hand] = c.keys[len(c.keys)-1]
+		c.keys = c.keys[:len(c.keys)-1]
+	}
+	return n
 }
 
 // contentRef hashes a canonical key into its content address: 128 bits of

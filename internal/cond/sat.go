@@ -94,72 +94,11 @@ func Equivalent(t Theory, a, b Expr) bool { return Implies(t, a, b) && Implies(t
 // and b.
 func Disjoint(t Theory, a, b Expr) bool { return !Satisfiable(t, NewAnd(a, b)) }
 
-// EnumerateAssignments visits every theory-consistent full assignment of the
-// given atoms. It stops early when visit returns false and reports whether
-// the enumeration ran to completion. The enumeration is exponential in
-// len(atoms) by design: the full mapping compiler uses it for exhaustive
-// roundtrip (cell) analysis, which is the source of the compilation-time
-// blow-up the paper measures in Figure 4.
-func EnumerateAssignments(t Theory, atoms []Atom, visit func(Assignment) bool) bool {
-	e := newEnumEngine(t, atoms)
-	e.asg = make(Assignment, len(atoms))
-	return e.run(0, func([]int8) bool { return visit(e.asg) })
-}
-
-// EnumerateAssignmentsSeeded visits every theory-consistent full assignment
-// of the atoms that extends the given prefix assignment over atoms[:start].
-// The prefix must itself be theory-consistent; the enumeration branches only
-// over atoms[start:]. The visitor additionally receives a dense truth slice
-// indexed like atoms (1 true, 0 false), valid only for the duration of the
-// call. Seeded enumeration lets callers partition one exponential cell space
-// into disjoint contiguous sub-spaces — the unit of work of the parallel
-// validation pipeline.
-func EnumerateAssignmentsSeeded(t Theory, atoms []Atom, prefix Assignment, start int, visit func(Assignment, []int8) bool) bool {
-	e := newEnumEngine(t, atoms)
-	e.asg = make(Assignment, len(atoms))
-	for a, v := range prefix {
-		e.asg[a] = v
-	}
-	dense := make([]int8, 0, start)
-	for i := 0; i < start && i < len(atoms); i++ {
-		v, ok := prefix[atoms[i]]
-		switch {
-		case !ok:
-			dense = append(dense, -1)
-		case v:
-			dense = append(dense, 1)
-		default:
-			dense = append(dense, 0)
-		}
-	}
-	e.seedPrefix(dense, start)
-	return e.run(start, func([]int8) bool { return visit(e.asg, e.vals) })
-}
-
-// EnumerateAllAssignments visits every full boolean assignment of the atoms
-// with no theory pruning (2^len(atoms) visits). It exists for the
-// cell-pruning ablation benchmark; use EnumerateAssignments otherwise.
-func EnumerateAllAssignments(atoms []Atom, visit func(Assignment) bool) bool {
-	asg := Assignment{}
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if i >= len(atoms) {
-			return visit(asg)
-		}
-		for _, val := range [2]bool{true, false} {
-			asg[atoms[i]] = val
-			if !rec(i + 1) {
-				return false
-			}
-		}
-		delete(asg, atoms[i])
-		return true
-	}
-	return rec(0)
-}
-
-// EnumerateAllAssignmentsIndexed is EnumerateAllAssignments extended with
-// the dense truth slice of EnumerateAssignmentsSeeded.
+// EnumerateAllAssignmentsIndexed visits every full boolean assignment of
+// the atoms with no theory pruning (2^len(atoms) visits), for the
+// cell-pruning ablation (compiler.Options.NaiveCells). The visitor also
+// receives the dense truth slice indexed like atoms (1 true, 0 false),
+// valid only for the duration of the call. Use EnumerateCells otherwise.
 func EnumerateAllAssignmentsIndexed(atoms []Atom, visit func(Assignment, []int8) bool) bool {
 	asg := Assignment{}
 	vals := make([]int8, len(atoms))

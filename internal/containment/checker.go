@@ -149,50 +149,8 @@ func (ch *Checker) elapsed() time.Duration {
 // When the context carries a span (a validation task's, or an SMO
 // application's), the check records itself as a "containment-check" child
 // span labelled with its verdict and the number of block pairs compared.
-func (ch *Checker) ContainsCtx(ctx context.Context, a, b cqt.Expr) (contained bool, err error) {
-	sp := obsv.SpanFromContext(ctx).Child("containment-check")
-	pairs0 := atomic.LoadInt64(&ch.Stats.BlockPairs)
-	defer func() {
-		switch {
-		case err != nil:
-			sp.End(fault.Outcome(err))
-		case contained:
-			sp.End(obsv.OutcomeOK)
-		default:
-			sp.End("not-contained",
-				obsv.String("block_pairs", strconv.FormatInt(atomic.LoadInt64(&ch.Stats.BlockPairs)-pairs0, 10)))
-		}
-	}()
-	return ch.containsCtx(ctx, a, b)
-}
-
-func (ch *Checker) containsCtx(ctx context.Context, a, b cqt.Expr) (bool, error) {
-	if err := ctx.Err(); err != nil {
-		return false, err
-	}
-	if err := faultinject.At(faultinject.SiteContainment); err != nil {
-		return false, err
-	}
-	atomic.AddInt64(&ch.Stats.Containments, 1)
-	mChecks.Add(1)
-	if be := ch.budgetErr(); be != nil {
-		return false, be
-	}
-	if ch.Simplify {
-		a = cqt.Simplify(ch.Cat, a)
-		b = cqt.Simplify(ch.Cat, b)
-	}
-	na := &normalizer{cat: ch.Cat, mode: upper}
-	A, err := na.normalize(a)
-	if err != nil {
-		return false, err
-	}
-	nb := &normalizer{cat: ch.Cat, mode: lower, nextID: 1 << 20}
-	B, err := nb.normalize(b)
-	if err != nil {
-		return false, err
-	}
-	return ch.containsBlocks(ctx, A, B)
+func (ch *Checker) ContainsCtx(ctx context.Context, a, b cqt.Expr) (bool, error) {
+	return ch.check(ctx, a, b, nil)
 }
 
 // Prenorm is the reusable right-hand side of a containment check: the
@@ -224,7 +182,15 @@ func (ch *Checker) PrenormalizeRight(q cqt.Expr) (*Prenorm, error) {
 // ContainsPreCtx is ContainsCtx with a prenormalized right-hand side; the
 // verdict is identical to ContainsCtx against the query the Prenorm was
 // built from.
-func (ch *Checker) ContainsPreCtx(ctx context.Context, a cqt.Expr, pre *Prenorm) (contained bool, err error) {
+func (ch *Checker) ContainsPreCtx(ctx context.Context, a cqt.Expr, pre *Prenorm) (bool, error) {
+	return ch.check(ctx, a, nil, pre)
+}
+
+// check is the one body of ContainsCtx and ContainsPreCtx. It opens the
+// "containment-check" span, checks the context, passes the containment
+// fault site, counts the check, enforces the budget and normalizes the
+// left side a. The right side is pre, or b prenormalized when pre is nil.
+func (ch *Checker) check(ctx context.Context, a, b cqt.Expr, pre *Prenorm) (contained bool, err error) {
 	sp := obsv.SpanFromContext(ctx).Child("containment-check")
 	pairs0 := atomic.LoadInt64(&ch.Stats.BlockPairs)
 	defer func() {
@@ -256,6 +222,11 @@ func (ch *Checker) ContainsPreCtx(ctx context.Context, a cqt.Expr, pre *Prenorm)
 	A, err := na.normalize(a)
 	if err != nil {
 		return false, err
+	}
+	if pre == nil {
+		if pre, err = ch.PrenormalizeRight(b); err != nil {
+			return false, err
+		}
 	}
 	return ch.containsBlocks(ctx, A, pre.blocks)
 }

@@ -24,9 +24,6 @@ const DefaultSpillThreshold = 1 << 16
 type Options struct {
 	// BatchSize caps the rows per pulled batch (<=0: DefaultBatchSize).
 	BatchSize int
-	// SpillThreshold is the held-row count past which a blocking operator
-	// counts a spill event (<=0: DefaultSpillThreshold).
-	SpillThreshold int
 	// Tracer overrides the process-wide tracer for executor spans; nil
 	// resolves obsv's default (and tracing stays free when none is set).
 	Tracer *obsv.Tracer
@@ -37,13 +34,6 @@ func (o Options) batch() int {
 		return DefaultBatchSize
 	}
 	return o.BatchSize
-}
-
-func (o Options) spill() int {
-	if o.SpillThreshold <= 0 {
-		return DefaultSpillThreshold
-	}
-	return o.SpillThreshold
 }
 
 // Env supplies the data a streaming evaluation runs over: query views

@@ -25,7 +25,6 @@ type joinIter struct {
 	lOn  []string
 	rOn  []string
 
-	spillAt int
 	built   bool
 	build   []Tuple
 	index   map[string][]int
@@ -88,7 +87,6 @@ func openJoin(ctx context.Context, env *Env, j cqt.Join, cols []string, opts Opt
 		opBase: opBase{cols: cols, sp: parent.Child("exec.join", obsv.String("kind", joinKindName(j.Kind)))},
 		l:      l, r: r, kind: j.Kind,
 		lOn: lOn, rOn: rOn,
-		spillAt: opts.spill(),
 	}, nil
 }
 
@@ -136,7 +134,7 @@ func (j *joinIter) buildIndex() error {
 			if k, hasKey := joinKey(t, j.rOn); hasKey {
 				j.index[k] = append(j.index[k], i)
 			}
-			if !spilled && len(j.build) > j.spillAt {
+			if !spilled && len(j.build) > DefaultSpillThreshold {
 				spilled = true
 				obsv.Add(obsv.MExecSpills, 1)
 				j.sp.Annotate(obsv.String("spill", "build"))

@@ -210,7 +210,7 @@ const (
 	// tuples and batches emitted by every operator; ScanRows only those
 	// read from a table store; JoinBuildRows the tuples a hash join held
 	// as its build side; Spills the blocking operators whose held state
-	// exceeded the configured spill threshold (a memory-pressure signal —
+	// exceeded exec.DefaultSpillThreshold (a memory-pressure signal —
 	// rows stay in memory); ScanFaults the injected or store-level scan
 	// errors surfaced as typed executor errors.
 	MExecOpens         = "exec.opens"

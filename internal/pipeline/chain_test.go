@@ -9,6 +9,7 @@ import (
 	"github.com/ormkit/incmap/internal/core"
 	"github.com/ormkit/incmap/internal/edm"
 	"github.com/ormkit/incmap/internal/store"
+	"github.com/ormkit/incmap/internal/workload"
 )
 
 func customerOp() core.SMO {
@@ -18,6 +19,50 @@ func customerOp() core.SMO {
 			{Name: "Addr", Type: cond.KindString, Nullable: true},
 		},
 		"Client", map[string]string{"Id": "Cid", "Name": "Name", "Score": "Score", "Addr": "Addr"})
+}
+
+// chainSession opens a session at the paper's initial mapping: in memory,
+// or through NewSessionCompile over a fresh store, which persists the
+// opening generation so every chain entry has a record.
+func chainSession(t *testing.T, backed bool) (*Session, *store.Store) {
+	t.Helper()
+	if !backed {
+		return baseSession(t, Options{}), nil
+	}
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSessionCompile(context.Background(), workload.PaperInitial(), Options{Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, st
+}
+
+// checkAddressed pins the generation identity: on a store-backed session
+// each generation's FP is the store fingerprint of its mapping and names a
+// loadable record; without a store FP is empty.
+func checkAddressed(t *testing.T, s *Session, st *store.Store, gens ...Generation) {
+	t.Helper()
+	for _, g := range gens {
+		if st == nil {
+			if g.FP != "" {
+				t.Fatalf("generation %d of a storeless session has FP %q", g.Seq, g.FP)
+			}
+			continue
+		}
+		fp, err := store.Fingerprint(g.M, s.opts.fingerprintExtras()...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.FP != fp {
+			t.Fatalf("generation %d: FP %q, want its store fingerprint %q", g.Seq, g.FP, fp)
+		}
+		if _, _, err := st.LoadGeneration(g.FP); err != nil {
+			t.Fatalf("generation %d: no loadable record under its FP: %v", g.Seq, err)
+		}
+	}
 }
 
 func TestVersionChainGrowsAndTrims(t *testing.T) {
@@ -125,36 +170,49 @@ func TestProposeDiscard(t *testing.T) {
 }
 
 // TestRollbackRestoresVerbatim: a rollback re-commits the previous
-// generation's exact mapping and view pointers under a fresh monotone Seq.
+// generation's exact mapping and view pointers, and its fingerprint, under
+// a fresh monotone Seq — in memory and on a store-backed session.
 func TestRollbackRestoresVerbatim(t *testing.T) {
-	s := baseSession(t, Options{})
-	ctx := context.Background()
-	m0, v0 := s.Generation()
+	for _, backed := range []bool{false, true} {
+		name := "memory"
+		if backed {
+			name = "store"
+		}
+		t.Run(name, func(t *testing.T) {
+			s, st := chainSession(t, backed)
+			ctx := context.Background()
+			g0 := s.Head()
 
-	m1, v1, err := s.Evolve(ctx, employeeOp())
-	if err != nil {
-		t.Fatal(err)
-	}
-	head, err := s.Rollback()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if head.M != m0 || head.V != v0 {
-		t.Fatal("rollback did not restore the prior generation verbatim")
-	}
-	if head.Seq != 3 {
-		t.Fatalf("rollback Seq = %d, want monotone 3", head.Seq)
-	}
-	// Rolling back again undoes the rollback.
-	head, err = s.Rollback()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if head.M != m1 || head.V != v1 || head.Seq != 4 {
-		t.Fatalf("second rollback = seq %d, want the evolved generation back at seq 4", head.Seq)
-	}
-	if st := s.Stats(); st.Rollbacks != 2 {
-		t.Fatalf("Rollbacks = %d, want 2", st.Rollbacks)
+			m1, v1, err := s.Evolve(ctx, employeeOp())
+			if err != nil {
+				t.Fatal(err)
+			}
+			g1 := s.Head()
+			checkAddressed(t, s, st, s.Generations()...)
+			head, err := s.Rollback()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if head.M != g0.M || head.V != g0.V || head.FP != g0.FP {
+				t.Fatal("rollback did not restore the prior generation verbatim")
+			}
+			if head.Seq != 3 {
+				t.Fatalf("rollback Seq = %d, want monotone 3", head.Seq)
+			}
+			checkAddressed(t, s, st, s.Generations()...)
+			// Rolling back again undoes the rollback.
+			head, err = s.Rollback()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if head.M != m1 || head.V != v1 || head.FP != g1.FP || head.Seq != 4 {
+				t.Fatalf("second rollback = seq %d, want the evolved generation back at seq 4", head.Seq)
+			}
+			checkAddressed(t, s, st, s.Generations()...)
+			if st := s.Stats(); st.Rollbacks != 2 {
+				t.Fatalf("Rollbacks = %d, want 2", st.Rollbacks)
+			}
+		})
 	}
 }
 
@@ -174,14 +232,10 @@ func TestRollbackNeedsHistory(t *testing.T) {
 
 // TestProposePersistsForResume: a staged generation lands in the store
 // under its content address, and a second session can re-stage it without
-// recompiling — the crash-resume path of the rollout engine.
+// recompiling — the crash-resume path of the rollout engine. Promotion on
+// either session commits the proposal's address unchanged.
 func TestProposePersistsForResume(t *testing.T) {
-	dir := t.TempDir()
-	st, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := baseSession(t, Options{Store: st})
+	s, st := chainSession(t, true)
 	pg, err := s.Propose(context.Background(), employeeOp())
 	if err != nil {
 		t.Fatal(err)
@@ -189,30 +243,34 @@ func TestProposePersistsForResume(t *testing.T) {
 	if pg.FP == "" {
 		t.Fatal("store-backed proposal should carry a fingerprint")
 	}
-	if !st.HasGeneration(pg.FP) {
-		t.Fatal("proposal was not persisted")
-	}
+	checkAddressed(t, s, st, pg)
 
 	lm, lv, err := st.LoadGeneration(pg.FP)
 	if err != nil {
 		t.Fatalf("reloading proposal: %v", err)
 	}
 	s2 := baseSession(t, Options{Store: st})
-	rg, err := s2.ResumePending(lm, lv)
+	rg, err := s2.ResumePending(pg.FP, lm, lv)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rg.FP != pg.FP {
 		t.Fatalf("resumed fingerprint %s, want %s", rg.FP, pg.FP)
 	}
-	if _, ok := s2.Pending(); !ok {
+	if p, ok := s2.Pending(); !ok {
 		t.Fatal("resume did not stage the proposal")
+	} else {
+		checkAddressed(t, s2, st, p)
 	}
-	head, err := s2.PromotePending()
-	if err != nil {
-		t.Fatal(err)
+	for _, sess := range []*Session{s, s2} {
+		head, err := sess.PromotePending()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if head.FP != pg.FP {
+			t.Fatal("promoted generation lost the proposal's content address")
+		}
 	}
-	if head.FP != pg.FP {
-		t.Fatal("promoted generation lost the proposal's content address")
-	}
+	checkAddressed(t, s, st, s.Generations()...)
+	checkAddressed(t, s2, st, s2.Head())
 }

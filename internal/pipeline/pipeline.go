@@ -116,12 +116,34 @@ func (o *Options) sharedSatCache() *cond.SatCache {
 // default-session snapshots share the plain store.Fingerprint(m) address
 // used by the standalone Save/Load helpers and the incmapc CLI.
 func (o *Options) fingerprintExtras() []string {
-	if !o.Compiler.SkipValidation && !o.Compiler.NoSimplify {
+	if !o.Compiler.NoSimplify {
 		return nil
 	}
-	return []string{fmt.Sprintf("skipval=%t,nosimplify=%t",
-		o.Compiler.SkipValidation, o.Compiler.NoSimplify)}
+	return []string{"nosimplify=true"}
 }
+
+// fingerprint is the one place a session derives a generation's content
+// address: the store fingerprint of its mapping under the options that
+// compiled it. Sessions without a store carry no address (hashing the whole
+// mapping is a cost pure in-memory sessions never pay).
+func (o *Options) fingerprint(m *frag.Mapping) (string, error) {
+	if o.Store == nil {
+		return "", nil
+	}
+	return store.Fingerprint(m, o.fingerprintExtras()...)
+}
+
+// generation addresses a compiled mapping and its views. A fingerprint
+// that cannot be computed leaves FP empty, which fails the generation's
+// persist.
+func (o *Options) generation(m *frag.Mapping, v *frag.Views) Generation {
+	fp, _ := o.fingerprint(m)
+	return Generation{M: m, V: v, FP: fp}
+}
+
+// errNoFingerprint fails the persist of a generation whose fingerprint
+// could not be computed: nothing is ever saved under an empty address.
+var errNoFingerprint = errors.New("pipeline: generation has no fingerprint (its mapping cannot be encoded)")
 
 // Stats counts how each Evolve call was resolved. Counters are updated
 // atomically; read a consistent snapshot with Session.Stats.
@@ -154,12 +176,15 @@ type Stats struct {
 	Rollbacks int64
 }
 
-// Generation is one committed entry of a session's version chain. Seq is
-// the session-monotone commit counter: it grows on every commit, including
-// a rollback — rolling back re-commits the previous generation's mapping
-// and views verbatim under a fresh Seq, so observers can always order
-// events. FP is the content address of the compiled generation (empty for
-// sessions without a persistent store).
+// Generation is the one record of a compiled generation: an entry of a
+// session's version chain, or the staged proposal. Seq is the
+// session-monotone commit counter: it grows on every commit, including a
+// rollback — rolling back re-commits the previous generation's mapping and
+// views verbatim under a fresh Seq, so observers can always order events;
+// a proposal's Seq is 0 until promotion. FP is the store content address,
+// computed once when the session creates the generation and carried
+// unchanged through promotion and rollback; it is empty for sessions
+// without a persistent store.
 type Generation struct {
 	Seq int64
 	M   *frag.Mapping
@@ -184,13 +209,10 @@ type Session struct {
 	persistErr error
 
 	// evolveMu serializes Evolve/Propose/Rollback calls; mu guards only
-	// the generation pointers and the chain so readers never block behind
-	// a long compilation.
+	// the chain and the proposal so readers never block behind a long
+	// compilation. The chain is never empty: its last entry is the head.
 	evolveMu sync.Mutex
 	mu       sync.Mutex
-	m        *frag.Mapping
-	v        *frag.Views
-	seq      int64
 	chain    []Generation
 	pending  *Generation
 }
@@ -198,26 +220,18 @@ type Session struct {
 // NewSession starts a session at an already compiled generation (a mapping
 // and the views the full or incremental compiler produced for it).
 func NewSession(m *frag.Mapping, v *frag.Views, opts Options) *Session {
-	s := &Session{opts: opts, m: m, v: v, seq: 1}
+	return newSession(opts.generation(m, v), opts)
+}
+
+// newSession starts a session whose head is g, already addressed.
+func newSession(g Generation, opts Options) *Session {
+	s := &Session{opts: opts}
 	if opts.Store != nil {
 		s.satCache = s.opts.sharedSatCache()
 	}
-	s.chain = []Generation{{Seq: 1, M: m, V: v, FP: s.fingerprintOf(m)}}
+	g.Seq = 1
+	s.chain = []Generation{g}
 	return s
-}
-
-// fingerprintOf computes the generation's content address for store-backed
-// sessions; without a store the chain carries no fingerprints (computing
-// one hashes the whole mapping, a cost pure in-memory sessions never paid).
-func (s *Session) fingerprintOf(m *frag.Mapping) string {
-	if s.opts.Store == nil {
-		return ""
-	}
-	fp, err := store.Fingerprint(m, s.opts.fingerprintExtras()...)
-	if err != nil {
-		return ""
-	}
-	return fp
 }
 
 // NewSessionCompile starts a session at a compiled generation for the
@@ -226,14 +240,17 @@ func (s *Session) fingerprintOf(m *frag.Mapping) string {
 // all), full-compiled otherwise. A cold compile's result is snapshotted
 // back to the store so the next process starts warm.
 func NewSessionCompile(ctx context.Context, m *frag.Mapping, opts Options) (*Session, error) {
+	// The lookup fingerprint is the opened generation's address on both
+	// the warm and the cold path.
+	fp, fpErr := opts.fingerprint(m)
 	if opts.Store != nil {
 		cache := opts.sharedSatCache()
-		if fp, err := store.Fingerprint(m, opts.fingerprintExtras()...); err == nil {
+		if fpErr == nil {
 			if lm, lv, lerr := opts.Store.LoadGeneration(fp); lerr == nil {
 				// Warm the solver too: persisted verdicts and lemmas apply to
 				// any later Evolve over unchanged schema facts.
 				_ = opts.Store.LoadSatCache(cache)
-				s := NewSession(lm, lv, opts)
+				s := newSession(Generation{M: lm, V: lv, FP: fp}, opts)
 				atomic.AddInt64(&s.stats.WarmStarts, 1)
 				return s, nil
 			}
@@ -247,32 +264,32 @@ func NewSessionCompile(ctx context.Context, m *frag.Mapping, opts Options) (*Ses
 	if err != nil {
 		return nil, err
 	}
-	s := NewSession(m, v, opts)
-	s.snapshot(m, v)
+	s := newSession(Generation{M: m, V: v, FP: fp}, opts)
+	s.snapshot(s.Head())
 	return s, nil
 }
 
-// Generation returns the current mapping and views. The returned objects
-// are the live generation: treat them as immutable, as every other reader
-// shares them (evolve through Evolve, which derives copy-on-write
+// Generation returns the head's mapping and views (see Head). The returned
+// objects are the live generation: treat them as immutable, as every other
+// reader shares them (evolve through Evolve, which derives copy-on-write
 // generations).
 func (s *Session) Generation() (*frag.Mapping, *frag.Views) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.m, s.v
+	g := s.Head()
+	return g.M, g.V
 }
 
-func (s *Session) commit(m *frag.Mapping, v *frag.Views) {
-	fp := s.fingerprintOf(m)
+// commit appends g to the chain as the new head under the next Seq and
+// snapshots it. g arrives addressed; commit never fingerprints.
+func (s *Session) commit(g Generation) Generation {
 	s.mu.Lock()
-	s.seq++
-	s.m, s.v = m, v
-	s.chain = append(s.chain, Generation{Seq: s.seq, M: m, V: v, FP: fp})
+	g.Seq = s.chain[len(s.chain)-1].Seq + 1
+	s.chain = append(s.chain, g)
 	if k := s.keepGenerations(); len(s.chain) > k {
 		s.chain = append([]Generation(nil), s.chain[len(s.chain)-k:]...)
 	}
 	s.mu.Unlock()
-	s.snapshot(m, v)
+	s.snapshot(g)
+	return g
 }
 
 func (s *Session) keepGenerations() int {
@@ -328,7 +345,7 @@ func (s *Session) Pending() (Generation, bool) {
 // but they are no longer silent: each exhausted persist counts in
 // Stats.PersistErrors and the store.persist_errors metric, and Flush
 // returns the first error since the previous Flush.
-func (s *Session) snapshot(m *frag.Mapping, v *frag.Views) {
+func (s *Session) snapshot(g Generation) {
 	if s.opts.Store == nil {
 		return
 	}
@@ -336,18 +353,18 @@ func (s *Session) snapshot(m *frag.Mapping, v *frag.Views) {
 		s.flushWG.Add(1)
 		go func() {
 			defer s.flushWG.Done()
-			s.persist(m, v)
+			s.persist(g)
 		}()
 		return
 	}
-	s.persist(m, v)
+	s.persist(g)
 }
 
 // persist runs the retry ladder around persistOnce and records the final
 // verdict. Transient store failures (a disk filling, an injected fault)
 // are retried with capped exponential backoff plus jitter so a burst of
 // write-behind snapshots does not hammer a struggling disk in lockstep.
-func (s *Session) persist(m *frag.Mapping, v *frag.Views) {
+func (s *Session) persist(g Generation) {
 	backoff := s.opts.PersistBackoff
 	if backoff <= 0 {
 		backoff = 10 * time.Millisecond
@@ -355,7 +372,7 @@ func (s *Session) persist(m *frag.Mapping, v *frag.Views) {
 	const backoffCap = time.Second
 	var first error
 	for attempt := 0; ; attempt++ {
-		err := s.persistOnce(m, v)
+		err := s.persistOnce(g)
 		if err == nil {
 			return
 		}
@@ -385,17 +402,16 @@ func (s *Session) persist(m *frag.Mapping, v *frag.Views) {
 	s.persistMu.Unlock()
 }
 
-// persistOnce is one snapshot attempt: the generation record, then the
-// SatCache snapshot. The first failure aborts the attempt.
-func (s *Session) persistOnce(m *frag.Mapping, v *frag.Views) error {
+// persistOnce is one snapshot attempt: the generation record under g.FP,
+// then the SatCache snapshot. The first failure aborts the attempt.
+func (s *Session) persistOnce(g Generation) error {
 	if err := faultinject.At(faultinject.SiteSessionPersist); err != nil {
 		return err
 	}
-	fp, err := store.Fingerprint(m, s.opts.fingerprintExtras()...)
-	if err != nil {
-		return err
+	if g.FP == "" {
+		return errNoFingerprint
 	}
-	if err := s.opts.Store.SaveGeneration(fp, m, v); err != nil {
+	if err := s.opts.Store.SaveGeneration(g.FP, g.M, g.V); err != nil {
 		return err
 	}
 	atomic.AddInt64(&s.stats.Snapshots, 1)
@@ -503,7 +519,7 @@ func (s *Session) ladder(ctx context.Context, m *frag.Mapping, v *frag.Views, op
 		atomic.AddInt64(&s.stats.Incremental, 1)
 		mEvolveIncremental.Add(1)
 		if commit {
-			s.commit(nm, nv)
+			s.commit(s.opts.generation(nm, nv))
 		}
 		root.End(obsv.OutcomeOK, obsv.String("decision", "incremental"))
 		return nm, nv, nil
@@ -537,7 +553,7 @@ func (s *Session) ladder(ctx context.Context, m *frag.Mapping, v *frag.Views, op
 	atomic.AddInt64(&s.stats.Fallbacks, 1)
 	mEvolveFallback.Add(1)
 	if commit {
-		s.commit(fm, fv)
+		s.commit(s.opts.generation(fm, fv))
 	}
 	root.End(obsv.OutcomeOK, obsv.String("decision", "fallback"))
 	return fm, fv, nil
@@ -569,36 +585,37 @@ func (s *Session) Propose(ctx context.Context, ops ...core.SMO) (Generation, err
 		}
 		m, v = nm, nv
 	}
-	return s.stagePending(m, v), nil
+	return s.stagePending(s.opts.generation(m, v)), nil
 }
 
-// ResumePending re-stages an already compiled generation (typically one
-// reloaded from the persistent store after a crash mid-rollout).
-func (s *Session) ResumePending(m *frag.Mapping, v *frag.Views) (Generation, error) {
+// ResumePending re-stages an already compiled generation, typically one
+// reloaded from the persistent store after a crash mid-rollout. fp is the
+// fingerprint the caller loaded the record under; it becomes the staged
+// generation's FP without being recomputed.
+func (s *Session) ResumePending(fp string, m *frag.Mapping, v *frag.Views) (Generation, error) {
 	s.evolveMu.Lock()
 	defer s.evolveMu.Unlock()
 	if s.pending != nil {
 		return Generation{}, ErrPendingGeneration
 	}
-	return s.stagePending(m, v), nil
+	return s.stagePending(Generation{M: m, V: v, FP: fp}), nil
 }
 
 // stagePending records the proposal and persists it for crash resume. The
 // caller holds evolveMu.
-func (s *Session) stagePending(m *frag.Mapping, v *frag.Views) Generation {
+func (s *Session) stagePending(g Generation) Generation {
 	atomic.AddInt64(&s.stats.Proposals, 1)
-	g := &Generation{M: m, V: v, FP: s.fingerprintOf(m)}
 	s.mu.Lock()
-	s.pending = g
+	s.pending = &g
 	s.mu.Unlock()
 	if s.opts.Store != nil {
-		s.persist(m, v)
+		s.persist(g)
 	}
-	return *g
+	return g
 }
 
-// PromotePending commits the staged generation as the new head (the
-// rollout's cutover step).
+// PromotePending commits the staged generation, fingerprint included, as
+// the new head (the rollout's cutover step).
 func (s *Session) PromotePending() (Generation, error) {
 	s.evolveMu.Lock()
 	defer s.evolveMu.Unlock()
@@ -609,8 +626,7 @@ func (s *Session) PromotePending() (Generation, error) {
 	if p == nil {
 		return Generation{}, ErrNoPendingGeneration
 	}
-	s.commit(p.M, p.V)
-	return s.Head(), nil
+	return s.commit(*p), nil
 }
 
 // DiscardPending drops the staged generation (rollout abort or rollback).
@@ -629,8 +645,8 @@ func (s *Session) DiscardPending() error {
 	return nil
 }
 
-// Rollback re-commits the previous chain entry's mapping and views
-// verbatim under a fresh Seq — the serving pointers move back, the commit
+// Rollback re-commits the previous chain entry's mapping, views and
+// fingerprint verbatim under a fresh Seq — the serving pointers move back, the commit
 // counter moves forward, so generation numbers stay monotone through a
 // rollback (observers can order a rollback after the commit it undoes).
 func (s *Session) Rollback() (Generation, error) {
@@ -644,8 +660,7 @@ func (s *Session) Rollback() (Generation, error) {
 	prev := s.chain[len(s.chain)-2]
 	s.mu.Unlock()
 	atomic.AddInt64(&s.stats.Rollbacks, 1)
-	s.commit(prev.M, prev.V)
-	return s.Head(), nil
+	return s.commit(prev), nil
 }
 
 // tracer resolves the session's explicit tracer: the incremental rung's,

@@ -105,9 +105,9 @@ func (s *Server) handleDataGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, notFound(r.PathValue("name")))
 		return
 	}
-	st := t.read()
+	_, st := t.read()
 	data, prev, plan, frozen := t.dataSnapshot()
-	resp := &dataResponse{Tenant: t.name, Generation: st.gen, Version: "current", Frozen: frozen}
+	resp := &dataResponse{Tenant: t.name, Generation: st.Generation, Version: "current", Frozen: frozen}
 
 	if r.URL.Query().Get("version") == "prev" {
 		resp.Version = "prev"
@@ -167,16 +167,13 @@ func (t *tenant) writeData(req dataRequest) (*dataResponse, *apiError) {
 			msg:    fmt.Sprintf("tenant %q data is frozen for backfill; retry after cutover", t.name),
 		}
 	}
-	st := t.serving()
-	if st.m == nil || st.v == nil {
-		return nil, &apiError{status: http.StatusConflict, msg: "tenant has no compiled generation"}
-	}
+	head := t.session.Head()
 
 	var next *state.StoreState
 	switch req.Version {
 	case "current":
-		cs := orm.RandomState(st.m, req.Seed, req.MaxPerType)
-		ss, err := orm.Materialize(st.m, st.v, cs)
+		cs := orm.RandomState(head.M, req.Seed, req.MaxPerType)
+		ss, err := orm.Materialize(head.M, head.V, cs)
 		if err != nil {
 			return nil, &apiError{status: http.StatusUnprocessableEntity, msg: fmt.Sprintf("materialize: %v", err)}
 		}
@@ -203,7 +200,7 @@ func (t *tenant) writeData(req dataRequest) (*dataResponse, *apiError) {
 	tables, total, sum := summarize(next)
 	return &dataResponse{
 		Tenant:     t.name,
-		Generation: st.gen,
+		Generation: t.generation(head),
 		Version:    req.Version,
 		Tables:     tables,
 		TotalRows:  total,

@@ -224,12 +224,12 @@ func (s *Server) handleViews(w http.ResponseWriter, r *http.Request) {
 		writeError(w, notFound(r.PathValue("name")))
 		return
 	}
-	st := t.read()
-	resp := viewsResponse{TenantStatus: t.status()}
-	if st.v != nil {
-		resp.Types = sortedKeys(st.v.Query)
-		resp.Assocs = sortedKeys(st.v.Assoc)
-		resp.Tables = sortedKeys(st.v.Update)
+	head, st := t.read()
+	resp := viewsResponse{
+		TenantStatus: st,
+		Types:        sortedKeys(head.V.Query),
+		Assocs:       sortedKeys(head.V.Assoc),
+		Tables:       sortedKeys(head.V.Update),
 	}
 	writeJSON(w, http.StatusOK, &resp)
 }

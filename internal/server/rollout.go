@@ -312,8 +312,8 @@ func (r *rollout) gate(stage string) bool {
 		return fail(err.Error())
 	}
 	eff := r.effective()
-	if st := r.t.serving(); st.stale {
-		return fail(fmt.Sprintf("tenant serving state is stale: %s", st.staleReason))
+	if st := r.t.status(); st.Stale {
+		return fail(fmt.Sprintf("tenant serving state is stale: %s", st.StaleReason))
 	}
 	evolves, errs := r.t.evolves.Load(), r.t.errors.Load()
 	if evolves > 0 {
@@ -588,7 +588,7 @@ func (r *rollout) cutover() bool {
 		r.rollbackPre(fmt.Sprintf("promote: %v", err))
 		return false
 	}
-	t.commit(head.M, head.V)
+	_ = t.srv.saveManifest()
 	t.dataMu.Lock()
 	t.prevData = r.src
 	t.data = r.migrated
@@ -666,15 +666,14 @@ func (r *rollout) rollbackPre(reason string) {
 // view pointers) and the data plane is restored to the frozen source.
 func (r *rollout) rollbackPost(reason string) {
 	t := r.t
-	head, err := t.session.Rollback()
-	if err != nil {
+	if _, err := t.session.Rollback(); err != nil {
 		r.mu.Lock()
 		r.phase = phaseFailed
 		r.err = fmt.Sprintf("rollback after %q: %v", reason, err)
 		r.mu.Unlock()
 		return
 	}
-	t.commit(head.M, head.V)
+	_ = t.srv.saveManifest()
 	t.dataMu.Lock()
 	t.data = r.src
 	t.prevData = nil
@@ -779,7 +778,7 @@ func (s *Server) resumeRollout(t *tenant) {
 		abandon()
 		return
 	}
-	pg, rerr := t.session.ResumePending(m, v)
+	pg, rerr := t.session.ResumePending(cp.ToFP, m, v)
 	if rerr != nil {
 		abandon()
 		return

@@ -231,8 +231,7 @@ func (s *Server) restoreTenants() {
 			MaxContainments: ent.MaxContainments,
 			MaxWallTime:     time.Duration(ent.MaxWallTimeMs) * time.Millisecond,
 		}
-		t := s.newTenant(name, pipeline.NewSession(m, v, s.sessionOptions(b)), b)
-		t.setCommitted(m, v, ent.Generation, ent.Fingerprint)
+		t := s.newTenant(name, pipeline.NewSession(m, v, s.sessionOptions(b)), b, ent.Generation-1)
 		t.restoreData()
 		s.tenants[name] = t
 		s.restored++
@@ -256,10 +255,10 @@ func (s *Server) saveManifest() error {
 		if t == nil {
 			continue // registration in flight
 		}
-		st := t.serving()
+		head := t.session.Head()
 		man.Tenants[name] = manifestEntry{
-			Fingerprint:     st.fp,
-			Generation:      st.gen,
+			Fingerprint:     head.FP,
+			Generation:      t.generation(head),
 			MaxContainments: t.budget.MaxContainments,
 			MaxWallTimeMs:   t.budget.MaxWallTime.Milliseconds(),
 		}
@@ -348,10 +347,7 @@ func (s *Server) Register(ctx context.Context, name string, m *frag.Mapping, b f
 		return nil, compileError("register", err)
 	}
 
-	t := s.newTenant(name, sess, b)
-	cm, cv := sess.Generation()
-	fp, _ := store.Fingerprint(cm)
-	t.setCommitted(cm, cv, 1, fp)
+	t := s.newTenant(name, sess, b, 0)
 	s.mu.Lock()
 	s.tenants[name] = t
 	s.mu.Unlock()
@@ -435,14 +431,14 @@ func (s *Server) Drain(ctx context.Context) error {
 // acceptance property that a restart warm-starts every committed
 // generation.
 func (s *Server) scrubGeneration(t *tenant) error {
-	st := t.serving()
-	if st.fp == "" || st.m == nil {
+	head := t.session.Head()
+	if head.FP == "" {
 		return nil
 	}
-	if _, _, err := s.opts.Store.LoadGeneration(st.fp); err == nil {
+	if _, _, err := s.opts.Store.LoadGeneration(head.FP); err == nil {
 		return nil
 	}
-	return s.opts.Store.SaveGeneration(st.fp, st.m, st.v)
+	return s.opts.Store.SaveGeneration(head.FP, head.M, head.V)
 }
 
 // validTenantName bounds tenant names to a URL- and manifest-safe

@@ -373,6 +373,12 @@ func TestServerRestartWarmStartsTenants(t *testing.T) {
 	if resp, st, _ := evolveAddEntity(ts.URL, "acme", "AcmeNew", "AcmeEntity1"); resp.StatusCode != http.StatusOK || st.Generation != 2 {
 		t.Fatalf("evolve acme: status %d gen %d", resp.StatusCode, st.Generation)
 	}
+	fps := map[string]string{}
+	for _, name := range []string{"acme", "globex"} {
+		if fps[name] = tenantStatus(t, ts.URL, name).Fingerprint; fps[name] == "" {
+			t.Fatalf("store-backed tenant %s reports no fingerprint", name)
+		}
+	}
 	ctx, cancel := testContext(t, 10*time.Second)
 	defer cancel()
 	if err := srv.Drain(ctx); err != nil {
@@ -382,6 +388,11 @@ func TestServerRestartWarmStartsTenants(t *testing.T) {
 	srv2, ts2 := testDaemon(t, Options{Store: testStore(t, dir)})
 	if got := srv2.Restored(); got != 2 {
 		t.Fatalf("restored %d tenants, want 2", got)
+	}
+	for name, fp := range fps {
+		if got := tenantStatus(t, ts2.URL, name).Fingerprint; got != fp {
+			t.Fatalf("restored %s at fingerprint %q, want %q from before the drain", name, got, fp)
+		}
 	}
 	vr, code := readViews(t, ts2.URL, "acme")
 	if code != http.StatusOK || vr.Generation != 2 || vr.Stale {

@@ -13,24 +13,27 @@ import (
 	"github.com/ormkit/incmap/internal/core"
 	"github.com/ormkit/incmap/internal/fault"
 	"github.com/ormkit/incmap/internal/faultinject"
-	"github.com/ormkit/incmap/internal/frag"
 	"github.com/ormkit/incmap/internal/pipeline"
 	"github.com/ormkit/incmap/internal/state"
-	"github.com/ormkit/incmap/internal/store"
 	"github.com/ormkit/incmap/internal/xver"
 )
 
-// tenant is one registered model: a session, a bounded evolve queue
-// drained by a single worker goroutine, and a serving-state mirror that
-// read handlers hit without touching the session. The single worker per
-// tenant serializes that tenant's evolves (matching the session's own
-// evolveMu) while tenants evolve concurrently with one another, throttled
-// only by the server's global compile semaphore.
+// tenant is one registered model: a session, whose head is the serving
+// generation, and a bounded evolve queue drained by a single worker
+// goroutine. The single worker per tenant serializes that tenant's evolves
+// (matching the session's own evolveMu) while tenants evolve concurrently
+// with one another, throttled only by the server's global compile
+// semaphore.
 type tenant struct {
 	name    string
 	session *pipeline.Session
 	budget  fault.Budget
 	srv     *Server
+	// genBase offsets the session's commit counter into the wire
+	// generation (genBase + Head().Seq): 0 for a registered tenant, the
+	// manifest's generation − 1 for a restored one, whose new session
+	// starts again at Seq 1, so numbers continue across restarts.
+	genBase int64
 
 	// queue is the bounded admission queue. Admission never blocks: a
 	// full queue sheds synchronously with 429.
@@ -41,12 +44,9 @@ type tenant struct {
 	drainOnce sync.Once
 	done      chan struct{}
 
-	// genMu guards gen, the serving-state mirror. Only the worker (and
-	// setCommitted during registration/restore) writes it; reads are
-	// lock-cheap and coherent — generation number, fingerprint and
-	// staleness always belong to the same commit.
-	genMu sync.RWMutex
-	gen   genState
+	// stale records the latest evolve that did not commit, against the
+	// head it left serving; the next commit moves the head and so clears it.
+	stale atomic.Pointer[staleMark]
 
 	// evolveEWMA tracks the recent average evolve duration in
 	// nanoseconds (atomic), seeding the deadline-aware admission
@@ -78,17 +78,15 @@ type tenant struct {
 	ro   *rollout
 }
 
-// genState is one coherent serving snapshot.
-type genState struct {
-	m  *frag.Mapping
-	v  *frag.Views
-	gen int64
-	fp  string
-	// stale marks that the latest requested evolve did not commit; the
-	// served generation is the last one that did.
-	stale       bool
-	staleReason string
+// staleMark says the evolve requested while head seq served did not
+// commit, and why.
+type staleMark struct {
+	seq    int64
+	reason string
 }
+
+// at reports whether the mark applies to the head with the given Seq.
+func (m *staleMark) at(seq int64) bool { return m != nil && m.seq == seq }
 
 // evolveReq is one admitted evolve waiting for the tenant worker.
 type evolveReq struct {
@@ -102,12 +100,13 @@ type evolveResult struct {
 	err    *apiError
 }
 
-func (s *Server) newTenant(name string, sess *pipeline.Session, b fault.Budget) *tenant {
+func (s *Server) newTenant(name string, sess *pipeline.Session, b fault.Budget, genBase int64) *tenant {
 	t := &tenant{
 		name:    name,
 		session: sess,
 		budget:  b,
 		srv:     s,
+		genBase: genBase,
 		queue:   make(chan *evolveReq, s.opts.QueueDepth),
 		drainCh: make(chan struct{}),
 		done:    make(chan struct{}),
@@ -116,30 +115,21 @@ func (s *Server) newTenant(name string, sess *pipeline.Session, b fault.Budget) 
 	return t
 }
 
-// setCommitted installs a serving snapshot (registration and restore; the
-// worker uses commit).
-func (t *tenant) setCommitted(m *frag.Mapping, v *frag.Views, gen int64, fp string) {
-	t.genMu.Lock()
-	t.gen = genState{m: m, v: v, gen: gen, fp: fp}
-	t.genMu.Unlock()
-}
+// generation is the wire number of a session generation.
+func (t *tenant) generation(g pipeline.Generation) int64 { return t.genBase + g.Seq }
 
-// serving returns the current coherent snapshot.
-func (t *tenant) serving() genState {
-	t.genMu.RLock()
-	defer t.genMu.RUnlock()
-	return t.gen
-}
-
-// status renders the tenant's wire status from the serving mirror.
+// status renders the tenant's wire status at the session's current head.
 func (t *tenant) status() *TenantStatus {
-	st := t.serving()
-	return &TenantStatus{
+	return t.statusAt(t.session.Head(), t.stale.Load())
+}
+
+// statusAt renders the wire status of one head snapshot and the staleness
+// mark read with it.
+func (t *tenant) statusAt(head pipeline.Generation, mark *staleMark) *TenantStatus {
+	st := &TenantStatus{
 		Name:        t.name,
-		Generation:  st.gen,
-		Fingerprint: st.fp,
-		Stale:       st.stale,
-		StaleReason: st.staleReason,
+		Generation:  t.generation(head),
+		Fingerprint: head.FP,
 		Evolves:     t.evolves.Load(),
 		Errors:      t.errors.Load(),
 		Shed:        t.shed.Load(),
@@ -147,18 +137,23 @@ func (t *tenant) status() *TenantStatus {
 		StaleReads:  t.staleReads.Load(),
 		QueueDepth:  len(t.queue),
 	}
+	if mark.at(head.Seq) {
+		st.Stale, st.StaleReason = true, mark.reason
+	}
+	return st
 }
 
-// read records a read against the serving snapshot and returns it. Reads
-// never fail: the worst case is an explicitly flagged stale generation.
-func (t *tenant) read() genState {
-	st := t.serving()
+// read takes one snapshot of the session head for a read request, counts
+// the read, and returns the head with its status. Reads never fail: the
+// worst case is an explicitly flagged stale generation.
+func (t *tenant) read() (pipeline.Generation, *TenantStatus) {
+	head, mark := t.session.Head(), t.stale.Load()
 	t.reads.Add(1)
-	if st.stale {
+	if mark.at(head.Seq) {
 		t.staleReads.Add(1)
 		mStaleServes.Add(1)
 	}
-	return st
+	return head, t.statusAt(head, mark)
 }
 
 // beginDrain signals the worker to shed the queue remainder and exit
@@ -368,8 +363,7 @@ func (t *tenant) evolveOne(ctx context.Context, op core.SMO) (apiErr *apiError) 
 	if err := faultinject.At(faultinject.SiteServerHandler); err != nil {
 		return compileError("evolve", err)
 	}
-	m, v, err := t.session.Evolve(ctx, op)
-	if err != nil {
+	if _, _, err := t.session.Evolve(ctx, op); err != nil {
 		if errors.Is(err, pipeline.ErrPendingGeneration) {
 			// Raced a rollout past admission: a conflict, not a compile
 			// failure — the tenant is not stale, the client must wait.
@@ -377,28 +371,15 @@ func (t *tenant) evolveOne(ctx context.Context, op core.SMO) (apiErr *apiError) 
 		}
 		return compileError("evolve", err)
 	}
-	t.commit(m, v)
+	_ = t.srv.saveManifest()
 	return nil
 }
 
-// commit advances the serving mirror to the newly committed generation
-// and clears any staleness, then refreshes the persisted manifest.
-func (t *tenant) commit(m *frag.Mapping, v *frag.Views) {
-	fp, _ := store.Fingerprint(m)
-	t.genMu.Lock()
-	t.gen = genState{m: m, v: v, gen: t.gen.gen + 1, fp: fp}
-	t.genMu.Unlock()
-	_ = t.srv.saveManifest()
-}
-
-// markStale flags the serving state: the generation is unchanged (the
+// markStale flags the serving head: the generation is unchanged (the
 // session kept the pre-SMO generation) but the client's last requested
 // evolution did not land.
 func (t *tenant) markStale(reason string) {
-	t.genMu.Lock()
-	t.gen.stale = true
-	t.gen.staleReason = reason
-	t.genMu.Unlock()
+	t.stale.Store(&staleMark{seq: t.session.Head().Seq, reason: reason})
 }
 
 // observeDuration folds one evolve duration into the EWMA (α = 1/4).
