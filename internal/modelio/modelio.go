@@ -5,6 +5,7 @@
 package modelio
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -99,15 +100,20 @@ type FragmentDoc struct {
 	ColOf      map[string]string `json:"colOf"`
 }
 
-// Encode writes a mapping as indented JSON.
+// Encode writes a mapping as indented JSON: AppendMapping's compact
+// document, indented two spaces and ended by a newline.
 func Encode(w io.Writer, m *frag.Mapping) error {
-	doc, err := toDocument(m)
+	b, err := AppendMapping(nil, m)
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
+	var out bytes.Buffer
+	if err := json.Indent(&out, b, "", "  "); err != nil {
+		return err
+	}
+	out.WriteByte('\n')
+	_, err = w.Write(out.Bytes())
+	return err
 }
 
 // Decode reads a mapping from JSON and validates it.
@@ -151,29 +157,6 @@ func multOf(name string) (edm.Mult, error) {
 	return 0, fmt.Errorf("modelio: unknown multiplicity %q", name)
 }
 
-func encodeEnum(k cond.Kind, vals []cond.Value) ([]json.RawMessage, error) {
-	out := make([]json.RawMessage, 0, len(vals))
-	for _, v := range vals {
-		var raw []byte
-		var err error
-		switch k {
-		case cond.KindString:
-			raw, err = json.Marshal(v.Str())
-		case cond.KindInt:
-			raw, err = json.Marshal(v.IntVal())
-		case cond.KindFloat:
-			raw, err = json.Marshal(v.FloatVal())
-		case cond.KindBool:
-			raw, err = json.Marshal(v.BoolVal())
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, raw)
-	}
-	return out, nil
-}
-
 func decodeEnum(k cond.Kind, raws []json.RawMessage) ([]cond.Value, error) {
 	out := make([]cond.Value, 0, len(raws))
 	for _, raw := range raws {
@@ -205,62 +188,6 @@ func decodeEnum(k cond.Kind, raws []json.RawMessage) ([]cond.Value, error) {
 		}
 	}
 	return out, nil
-}
-
-func toDocument(m *frag.Mapping) (*Document, error) {
-	doc := &Document{}
-	for _, t := range m.Client.Types() {
-		td := TypeDoc{Name: t.Name, Base: t.Base, Abstract: t.Abstract, Key: t.Key}
-		for _, a := range t.Attrs {
-			enum, err := encodeEnum(a.Type, a.Enum)
-			if err != nil {
-				return nil, err
-			}
-			td.Attrs = append(td.Attrs, AttrDoc{
-				Name: a.Name, Type: kindName(a.Type), Nullable: a.Nullable, Enum: enum,
-			})
-		}
-		doc.Client.Types = append(doc.Client.Types, td)
-	}
-	for _, s := range m.Client.Sets() {
-		doc.Client.Sets = append(doc.Client.Sets, SetDoc{Name: s.Name, Type: s.Type})
-	}
-	for _, a := range m.Client.Associations() {
-		doc.Client.Associations = append(doc.Client.Associations, AssocDoc{
-			Name: a.Name,
-			End1: EndDoc{Type: a.End1.Type, Mult: multName(a.End1.Mult)},
-			End2: EndDoc{Type: a.End2.Type, Mult: multName(a.End2.Mult)},
-		})
-	}
-	for _, t := range m.Store.Tables() {
-		td := TableDoc{Name: t.Name, Key: t.Key}
-		for _, c := range t.Cols {
-			enum, err := encodeEnum(c.Type, c.Enum)
-			if err != nil {
-				return nil, err
-			}
-			td.Cols = append(td.Cols, AttrDoc{
-				Name: c.Name, Type: kindName(c.Type), Nullable: c.Nullable, Enum: enum,
-			})
-		}
-		for _, fk := range t.FKs {
-			td.FKs = append(td.FKs, FKDoc{Name: fk.Name, Cols: fk.Cols, RefTable: fk.RefTable, RefCols: fk.RefCols})
-		}
-		doc.Store.Tables = append(doc.Store.Tables, td)
-	}
-	for _, f := range m.Frags {
-		doc.Fragments = append(doc.Fragments, FragmentDoc{
-			ID:         f.ID,
-			Set:        f.Set,
-			Assoc:      f.Assoc,
-			ClientCond: f.ClientCond.String(),
-			Attrs:      f.Attrs,
-			Table:      f.Table,
-			StoreCond:  f.StoreCond.String(),
-			ColOf:      f.ColOf,
-		})
-	}
-	return doc, nil
 }
 
 func fromDocument(doc *Document) (*frag.Mapping, error) {

@@ -80,13 +80,15 @@ type CondDoc struct {
 	Kids []CondDoc       `json:"kids,omitempty"`
 }
 
-// EncodeViews writes a compiled view set as JSON.
+// EncodeViews writes a compiled view set as JSON: AppendViews's compact
+// form ended by a newline.
 func EncodeViews(w io.Writer, v *frag.Views) error {
-	doc, err := ViewsToDoc(v)
+	b, err := AppendViews(nil, v)
 	if err != nil {
 		return err
 	}
-	return json.NewEncoder(w).Encode(doc)
+	_, err = w.Write(append(b, '\n'))
+	return err
 }
 
 // DecodeViews reads a compiled view set from JSON, rebuilding every
@@ -98,22 +100,6 @@ func DecodeViews(r io.Reader) (*frag.Views, error) {
 		return nil, fmt.Errorf("modelio: views: %w", err)
 	}
 	return ViewsFromDoc(&doc)
-}
-
-// ViewsToDoc converts a view set to its document form.
-func ViewsToDoc(v *frag.Views) (*ViewsDoc, error) {
-	doc := &ViewsDoc{}
-	var err error
-	if doc.Query, err = viewMapToDoc(v.Query); err != nil {
-		return nil, err
-	}
-	if doc.Assoc, err = viewMapToDoc(v.Assoc); err != nil {
-		return nil, err
-	}
-	if doc.Update, err = viewMapToDoc(v.Update); err != nil {
-		return nil, err
-	}
-	return doc, nil
 }
 
 // ViewsFromDoc rebuilds a view set from its document form.
@@ -143,37 +129,6 @@ func ViewsFromDoc(doc *ViewsDoc) (*frag.Views, error) {
 	return out, nil
 }
 
-func viewMapToDoc(m map[string]*cqt.View) (map[string]*ViewDoc, error) {
-	if len(m) == 0 {
-		return nil, nil
-	}
-	out := make(map[string]*ViewDoc, len(m))
-	for name, v := range m {
-		vd, err := viewToDoc(v)
-		if err != nil {
-			return nil, fmt.Errorf("modelio: view %q: %w", name, err)
-		}
-		out[name] = vd
-	}
-	return out, nil
-}
-
-func viewToDoc(v *cqt.View) (*ViewDoc, error) {
-	q, err := qToDoc(v.Q)
-	if err != nil {
-		return nil, err
-	}
-	vd := &ViewDoc{Q: q}
-	for _, c := range v.Cases {
-		when, err := condToDoc(c.When)
-		if err != nil {
-			return nil, err
-		}
-		vd.Cases = append(vd.Cases, CaseDoc{When: when, Type: c.Type, Attrs: c.Attrs})
-	}
-	return vd, nil
-}
-
 func viewFromDoc(vd *ViewDoc) (*cqt.View, error) {
 	if vd == nil || vd.Q == nil {
 		return nil, fmt.Errorf("missing query tree")
@@ -195,67 +150,6 @@ func viewFromDoc(vd *ViewDoc) (*cqt.View, error) {
 		v.Cases = append(v.Cases, cqt.Case{When: when, Type: cd.Type, Attrs: attrs})
 	}
 	return v, nil
-}
-
-func qToDoc(e cqt.Expr) (*QDoc, error) {
-	switch q := e.(type) {
-	case cqt.ScanTable:
-		return &QDoc{Op: "scantable", Name: q.Table}, nil
-	case cqt.ScanSet:
-		return &QDoc{Op: "scanset", Name: q.Set}, nil
-	case cqt.ScanAssoc:
-		return &QDoc{Op: "scanassoc", Name: q.Assoc}, nil
-	case cqt.Select:
-		in, err := qToDoc(q.In)
-		if err != nil {
-			return nil, err
-		}
-		c, err := condToDoc(q.Cond)
-		if err != nil {
-			return nil, err
-		}
-		return &QDoc{Op: "select", In: in, Cond: c}, nil
-	case cqt.Project:
-		in, err := qToDoc(q.In)
-		if err != nil {
-			return nil, err
-		}
-		cols := make([]ProjColDoc, len(q.Cols))
-		for i, pc := range q.Cols {
-			cd := ProjColDoc{As: pc.As, Src: pc.Src}
-			if pc.Lit != nil {
-				ld, err := literalToDoc(pc.Lit)
-				if err != nil {
-					return nil, err
-				}
-				cd.Lit = ld
-				cd.Src = ""
-			}
-			cols[i] = cd
-		}
-		return &QDoc{Op: "project", In: in, Cols: cols}, nil
-	case cqt.Join:
-		l, err := qToDoc(q.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := qToDoc(q.R)
-		if err != nil {
-			return nil, err
-		}
-		return &QDoc{Op: "join", Kind: joinKindName(q.Kind), L: l, R: r, On: q.On}, nil
-	case cqt.UnionAll:
-		inputs := make([]QDoc, len(q.Inputs))
-		for i, in := range q.Inputs {
-			d, err := qToDoc(in)
-			if err != nil {
-				return nil, err
-			}
-			inputs[i] = *d
-		}
-		return &QDoc{Op: "unionall", Inputs: inputs}, nil
-	}
-	return nil, fmt.Errorf("unknown query node %T", e)
 }
 
 func qFromDoc(d *QDoc) (cqt.Expr, error) {
@@ -350,18 +244,6 @@ func joinKindOf(name string) (cqt.JoinKind, error) {
 	return 0, fmt.Errorf("unknown join kind %q", name)
 }
 
-func literalToDoc(l *cqt.Literal) (*LiteralDoc, error) {
-	d := &LiteralDoc{Null: l.Null, Kind: kindName(l.Kind)}
-	if !l.Null {
-		raw, err := valueRaw(l.Val)
-		if err != nil {
-			return nil, err
-		}
-		d.Val = raw
-	}
-	return d, nil
-}
-
 func literalFromDoc(d *LiteralDoc) (*cqt.Literal, error) {
 	k, err := kindOf(d.Kind)
 	if err != nil {
@@ -397,22 +279,6 @@ func cmpOpOf(name string) (cond.Op, error) {
 	return 0, fmt.Errorf("unknown comparison operator %q", name)
 }
 
-// valueRaw marshals a typed value as its bare JSON form (kind travels
-// alongside it in the containing document).
-func valueRaw(v cond.Value) (json.RawMessage, error) {
-	switch v.K {
-	case cond.KindString:
-		return json.Marshal(v.Str())
-	case cond.KindInt:
-		return json.Marshal(v.IntVal())
-	case cond.KindFloat:
-		return json.Marshal(v.FloatVal())
-	case cond.KindBool:
-		return json.Marshal(v.BoolVal())
-	}
-	return nil, fmt.Errorf("unknown value kind %v", v.K)
-}
-
 func valueOfRaw(k cond.Kind, raw json.RawMessage) (cond.Value, error) {
 	switch k {
 	case cond.KindString:
@@ -441,58 +307,6 @@ func valueOfRaw(k cond.Kind, raw json.RawMessage) (cond.Value, error) {
 		return cond.Bool(b), nil
 	}
 	return cond.Value{}, fmt.Errorf("unknown value kind %q", k)
-}
-
-func condToDoc(x cond.Expr) (*CondDoc, error) {
-	switch v := x.(type) {
-	case nil:
-		return nil, fmt.Errorf("nil condition")
-	case cond.True:
-		return &CondDoc{Op: "true"}, nil
-	case cond.False:
-		return &CondDoc{Op: "false"}, nil
-	case cond.TypeIs:
-		return &CondDoc{Op: "typeis", Var: v.Var, Type: v.Type, Only: v.Only}, nil
-	case cond.Null:
-		return &CondDoc{Op: "null", Attr: v.Attr}, nil
-	case cond.Cmp:
-		raw, err := valueRaw(v.Val)
-		if err != nil {
-			return nil, err
-		}
-		return &CondDoc{Op: "cmp", Attr: v.Attr, Cmp: cmpOpName(v.Op), Kind: kindName(v.Val.K), Val: raw}, nil
-	case *cond.Not:
-		kid, err := condToDoc(v.X)
-		if err != nil {
-			return nil, err
-		}
-		return &CondDoc{Op: "not", Kids: []CondDoc{*kid}}, nil
-	case *cond.And:
-		kids, err := condKidsToDoc(v.Xs)
-		if err != nil {
-			return nil, err
-		}
-		return &CondDoc{Op: "and", Kids: kids}, nil
-	case *cond.Or:
-		kids, err := condKidsToDoc(v.Xs)
-		if err != nil {
-			return nil, err
-		}
-		return &CondDoc{Op: "or", Kids: kids}, nil
-	}
-	return nil, fmt.Errorf("unknown condition node %T", x)
-}
-
-func condKidsToDoc(xs []cond.Expr) ([]CondDoc, error) {
-	kids := make([]CondDoc, len(xs))
-	for i, x := range xs {
-		kd, err := condToDoc(x)
-		if err != nil {
-			return nil, err
-		}
-		kids[i] = *kd
-	}
-	return kids, nil
 }
 
 // condFromDoc rebuilds a condition, funneling every composite through the

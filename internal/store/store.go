@@ -8,17 +8,19 @@
 //     entry can never be served to a model it was not compiled from;
 //   - SatCache snapshots: solver verdicts and learned CDCL lemmas, whose
 //     keys are content-addressed (internal/cond) and therefore portable
-//     across processes by construction.
+//     across processes by construction;
+//   - named manifests: opaque payloads such as the serving daemon's tenant
+//     table and rollout checkpoints.
 //
 // Durability model: every artifact is one JSON record wrapped in a
-// checksummed envelope, written to a temp file in the same directory and
-// atomically renamed into place — a crash mid-write leaves either the old
-// record or a stray temp file, never a torn visible record. Reads verify
-// the format version, the artifact class, the fingerprint and the checksum
-// before decoding the payload; any mismatch, truncation or decode failure
-// makes the load fail cleanly, which callers treat as a cold start. The
-// store never makes correctness worse — it can only save work, not change
-// results.
+// checksummed envelope, written to a temp file in the same directory,
+// fsynced, atomically renamed into place, and made durable by an fsync of
+// the directory — a crash mid-write leaves either the old record or a stray
+// temp file, never a torn visible record. Reads verify the format version,
+// the artifact class, the fingerprint and the checksum before decoding the
+// payload; any mismatch, truncation or decode failure makes the load fail
+// cleanly, which callers treat as a cold start. The store never makes
+// correctness worse — it can only save work, not change results.
 package store
 
 import (
@@ -30,6 +32,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 
 	"sync"
 	"sync/atomic"
@@ -41,10 +44,13 @@ import (
 	"github.com/ormkit/incmap/internal/obsv"
 )
 
-// FormatVersion gates every record: bump it whenever the payload encoding,
-// the condition content-address scheme, or the cache key format changes
-// incompatibly. Records from other versions are ignored (cold start), never
-// migrated in place.
+// FormatVersion gates every record. Bump it only when what a record's bytes
+// mean changes: the envelope, a payload encoding, the condition
+// content-address scheme or the SatCache key format. A change to the
+// fingerprint's input alone needs no bump: it moves generation addresses,
+// records under the old ones are never looked up again (each model cold
+// compiles once) and pruning retires them. Records from other versions are
+// ignored (cold start), never migrated in place.
 const FormatVersion = 1
 
 // DefaultMaxGenerations bounds how many compiled generations a store keeps;
@@ -109,25 +115,27 @@ func (s *Store) hit()  { s.hits.Add(1); obsv.Add(obsv.MStoreHits, 1) }
 func (s *Store) miss() { s.misses.Add(1); obsv.Add(obsv.MStoreMisses, 1) }
 
 // Fingerprint computes the content address of a compiled generation: a
-// hash of the mapping's canonical serialized form, the format version, and
-// any extra strings that influenced compilation (e.g. compiler option
-// flags). Two processes compiling the same model the same way compute the
-// same fingerprint; any model or option change misses.
+// SHA-256 of the format version, the mapping's compact canonical encoding
+// (modelio.AppendMapping) and any extra strings that influenced
+// compilation (e.g. compiler option flags). Two processes compiling the
+// same model the same way compute the same fingerprint; any model or option
+// change misses.
 func Fingerprint(m *frag.Mapping, extras ...string) (string, error) {
-	var buf bytes.Buffer
-	if err := modelio.Encode(&buf, m); err != nil {
+	b, err := modelio.AppendMapping(nil, m)
+	if err != nil {
 		return "", fmt.Errorf("store: fingerprint: %w", err)
 	}
 	h := sha256.New()
 	fmt.Fprintf(h, "incmap-gen:%d:", FormatVersion)
-	h.Write(buf.Bytes())
+	h.Write(b)
 	for _, e := range extras {
 		fmt.Fprintf(h, ":%d:%s", len(e), e)
 	}
 	return hex.EncodeToString(h.Sum(nil)[:16]), nil
 }
 
-// record is the on-disk envelope of every artifact.
+// record is the on-disk envelope of every artifact: appendRecord writes it
+// and readRecord decodes it.
 type record struct {
 	Version     int             `json:"version"`
 	Class       string          `json:"class"`
@@ -146,20 +154,41 @@ func checksumOf(version int, class, fp string, payload []byte) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// appendRecord appends the envelope of one artifact around its payload,
+// copied verbatim. For a compact payload these are the bytes json.Marshal
+// writes for the record.
+func appendRecord(dst []byte, class, fp string, payload []byte) []byte {
+	dst = append(dst, `{"version":`...)
+	dst = strconv.AppendInt(dst, FormatVersion, 10)
+	dst = append(dst, `,"class":`...)
+	dst = appendJSONString(dst, class)
+	if fp != "" {
+		dst = append(dst, `,"fingerprint":`...)
+		dst = appendJSONString(dst, fp)
+	}
+	dst = append(dst, `,"payload":`...)
+	dst = append(dst, payload...)
+	dst = append(dst, `,"sha256":"`...)
+	dst = append(dst, checksumOf(FormatVersion, class, fp, payload)...)
+	return append(dst, `"}`...)
+}
+
+// appendJSONString appends s as a JSON string. Envelope strings are short,
+// so encoding/json escapes them.
+func appendJSONString(dst []byte, s string) []byte {
+	b, _ := json.Marshal(s) // a string always marshals
+	return append(dst, b...)
+}
+
 // writeRecord persists one artifact crash-safely: temp file in the target
-// directory, fsync, atomic rename.
+// directory, fsync, atomic rename, directory fsync. A payload that is not
+// valid JSON is rejected.
 func (s *Store) writeRecord(name, class, fp string, payload []byte) error {
-	rec := record{
-		Version:     FormatVersion,
-		Class:       class,
-		Fingerprint: fp,
-		Payload:     payload,
-		Checksum:    checksumOf(FormatVersion, class, fp, payload),
+	if !json.Valid(payload) {
+		return fmt.Errorf("store: %s payload is not valid JSON", class)
 	}
-	data, err := json.Marshal(&rec)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
+	// 160 bytes hold the envelope's fixed fields and the checksum.
+	data := appendRecord(make([]byte, 0, len(payload)+len(fp)+160), class, fp, payload)
 	if ferr := faultinject.At(faultinject.SiteStoreSave); ferr != nil {
 		if !faultinject.IsCorrupt(ferr) {
 			return fmt.Errorf("store: %w", ferr)
@@ -191,6 +220,22 @@ func (s *Store) writeRecord(name, class, fp string, payload []byte) error {
 	}
 	s.bytesWritten.Add(int64(len(data)))
 	obsv.Add(obsv.MStoreBytesWritten, int64(len(data)))
+	return syncDir(s.dir)
+}
+
+// syncDir fsyncs a directory, making the entries renamed into it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
 	return nil
 }
 
@@ -236,19 +281,18 @@ type genPayload struct {
 func genFileName(fp string) string { return "gen-" + fp + ".json" }
 
 // SaveGeneration persists a compiled (mapping, views) pair under its
-// fingerprint and prunes generations beyond the cap.
+// fingerprint and prunes generations beyond the cap. The payload is the
+// compact genPayload, appended in one buffer.
 func (s *Store) SaveGeneration(fp string, m *frag.Mapping, v *frag.Views) error {
-	var mb, vb bytes.Buffer
-	if err := modelio.Encode(&mb, m); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := modelio.EncodeViews(&vb, v); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	payload, err := json.Marshal(&genPayload{Mapping: mb.Bytes(), Views: vb.Bytes()})
+	payload, err := modelio.AppendMapping(append([]byte(nil), `{"mapping":`...), m)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
+	payload = append(payload, `,"views":`...)
+	if payload, err = modelio.AppendViews(payload, v); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	payload = append(payload, '}')
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.writeRecord(genFileName(fp), classGeneration, fp, payload); err != nil {

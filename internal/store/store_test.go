@@ -1,6 +1,11 @@
 package store
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,6 +14,7 @@ import (
 	"github.com/ormkit/incmap/internal/compiler"
 	"github.com/ormkit/incmap/internal/cond"
 	"github.com/ormkit/incmap/internal/frag"
+	"github.com/ormkit/incmap/internal/modelio"
 	"github.com/ormkit/incmap/internal/orm"
 	"github.com/ormkit/incmap/internal/workload"
 )
@@ -88,6 +94,194 @@ func TestFingerprintSensitivity(t *testing.T) {
 	}
 	if f1a == fx {
 		t.Fatal("extras do not influence the fingerprint")
+	}
+
+	// A copy of the model addresses the same generation.
+	for name, cp := range map[string]*frag.Mapping{"Clone": m1.Clone(), "DeepClone": m1.DeepClone()} {
+		if f, err := Fingerprint(cp); err != nil || f != f1a {
+			t.Errorf("%s: fingerprint %s (%v), want %s", name, f, err, f1a)
+		}
+	}
+	// One field changed anywhere in the model moves the address.
+	for name, change := range map[string]func(m *frag.Mapping){
+		"fragment": func(m *frag.Mapping) { m.Frags[0].ID += "x" },
+		"type": func(m *frag.Mapping) {
+			a := &m.Client.Types()[0].Attrs[0]
+			a.Nullable = !a.Nullable
+		},
+		"table": func(m *frag.Mapping) {
+			c := &m.Store.Tables()[0].Cols[0]
+			c.Nullable = !c.Nullable
+		},
+	} {
+		cp := m1.DeepClone()
+		change(cp)
+		if f, err := Fingerprint(cp); err != nil || f == f1a {
+			t.Errorf("%s changed, fingerprint %s (%v) did not move", name, f, err)
+		}
+	}
+	if f, _ := Fingerprint(m1); f != f1a {
+		t.Fatal("changing a deep copy moved the original's fingerprint")
+	}
+}
+
+// marshalRecord builds a record the way json.Marshal writes the envelope.
+func marshalRecord(t *testing.T, class, fp string, payload []byte) []byte {
+	t.Helper()
+	data, err := json.Marshal(&record{
+		Version:     FormatVersion,
+		Class:       class,
+		Fingerprint: fp,
+		Payload:     payload,
+		Checksum:    checksumOf(FormatVersion, class, fp, payload),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// marshalGeneration builds a generation record the way the store wrote it
+// before the compact encoders: the indented mapping and the views in a
+// genPayload, in a record, each through json.Marshal.
+func marshalGeneration(t *testing.T, fp string, m *frag.Mapping, v *frag.Views) []byte {
+	t.Helper()
+	var mb, vb bytes.Buffer
+	if err := modelio.Encode(&mb, m); err != nil {
+		t.Fatal(err)
+	}
+	if err := modelio.EncodeViews(&vb, v); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := json.Marshal(&genPayload{Mapping: mb.Bytes(), Views: vb.Bytes()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return marshalRecord(t, classGeneration, fp, payload)
+}
+
+// TestRecordBytesMatchMarshal checks the appended envelope and payloads
+// byte for byte against json.Marshal for every artifact class, including
+// an empty fingerprint and one that needs escaping.
+func TestRecordBytesMatchMarshal(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := func(name string) []byte {
+		t.Helper()
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+
+	for _, m := range []*frag.Mapping{workload.PaperFull(), workload.HubRim(workload.HubRimOptions{N: 2, M: 3, TPH: true})} {
+		m, v := compiledPair(t, m)
+		fp, err := Fingerprint(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SaveGeneration(fp, m, v); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(file(genFileName(fp)), marshalGeneration(t, fp, m, v)) {
+			t.Error("generation record differs from json.Marshal of the indented genPayload")
+		}
+	}
+
+	c := cond.NewSatCache()
+	g := cond.Cmp{Attr: "G", Op: cond.OpEq, Val: cond.String("<M&F>")}
+	c.Satisfiable(&cond.MapTheory{}, cond.NewAnd(g, cond.NotNull("G")))
+	if err := s.SaveSatCache(c); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := json.Marshal(c.Export())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(file(satCacheFile), marshalRecord(t, classSatCache, "", snap)) {
+		t.Error("satcache record differs from json.Marshal")
+	}
+
+	man, err := json.Marshal(map[string]any{"tenant": "a<b>&c\u2028", "generation": 3, "ok": true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SaveManifest("tenants", man); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(file(manifestFileName("tenants")), marshalRecord(t, classManifest, "tenants", man)) {
+		t.Error("manifest record differs from json.Marshal")
+	}
+
+	for _, fp := range []string{"", "odd \"fp\" <&> \\ \u2029"} {
+		payload := []byte(`{"mapping":null,"views":{}}`)
+		if err := s.writeRecord("odd.json", classGeneration, fp, payload); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(file("odd.json"), marshalRecord(t, classGeneration, fp, payload)) {
+			t.Errorf("record for fingerprint %q differs from json.Marshal", fp)
+		}
+	}
+}
+
+// TestParentGenerationRecordLoads writes a generation record built the way
+// the store wrote it before the compact encoders, under the address the
+// indented encoding hashed to, and checks it still loads. The compact
+// fingerprint is a different address: an old store cold-compiles once.
+func TestParentGenerationRecordLoads(t *testing.T) {
+	m, v := compiledPair(t, workload.PaperFull())
+	var indented bytes.Buffer
+	if err := modelio.Encode(&indented, m); err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	fmt.Fprintf(h, "incmap-gen:%d:", FormatVersion)
+	h.Write(indented.Bytes())
+	oldFP := hex.EncodeToString(h.Sum(nil)[:16])
+	if fp, _ := Fingerprint(m); fp == oldFP {
+		t.Fatal("compact fingerprint equals the indented one")
+	}
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, genFileName(oldFP)), marshalGeneration(t, oldFP, m, v), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, v2, err := s.LoadGeneration(oldFP)
+	if err != nil {
+		t.Fatalf("record written the old way does not load: %v", err)
+	}
+	if err := orm.Roundtrip(m2, v2, workload.PaperClientState()); err != nil {
+		t.Fatalf("data roundtrip through the loaded generation: %v", err)
+	}
+}
+
+// TestSaveManifestRejectsNonJSON checks the writer refuses a payload that
+// is not one JSON value, as json.Marshal of the envelope did, and leaves
+// nothing behind.
+func TestSaveManifestRejectsNonJSON(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, payload := range []string{"", "not json", `{"a":1`, `{} {}`, "\xff"} {
+		if err := s.SaveManifest("m", []byte(payload)); err == nil {
+			t.Errorf("SaveManifest accepted payload %q", payload)
+		}
+	}
+	if err := s.SaveManifest("m", nil); err == nil {
+		t.Error("SaveManifest accepted a nil payload")
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Fatalf("rejected saves left files behind: %v", entries)
 	}
 }
 
