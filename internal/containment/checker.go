@@ -593,7 +593,10 @@ func (t *blockTheory) resolve(attr string) (ScanRef, string, bool) {
 }
 
 func (t *blockTheory) setAttr(rootType, attr string) (cond.Domain, bool) {
-	for _, ty := range append([]string{rootType}, t.cat.Client.Descendants(rootType)...) {
+	if a, ok := t.cat.Client.Attr(rootType, attr); ok {
+		return a.Domain(), true
+	}
+	for _, ty := range t.cat.Client.Descendants(rootType) {
 		if a, ok := t.cat.Client.Attr(ty, attr); ok {
 			return a.Domain(), true
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/ormkit/incmap/internal/compiler"
 	"github.com/ormkit/incmap/internal/cond"
@@ -104,7 +105,9 @@ func (op *AddEntity) apply(ic *Incremental, m *frag.Mapping, v *frag.Views) erro
 				alpha = append(alpha, a.Name)
 			}
 		} else {
-			alpha = m.Client.AttrNames(op.Name)
+			// The new fragment owns α; AttrNames serves a slice shared
+			// with the schema.
+			alpha = slices.Clone(m.Client.AttrNames(op.Name))
 		}
 	}
 

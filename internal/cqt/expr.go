@@ -165,26 +165,14 @@ func AssocEndCols(s *edm.Schema, a *edm.Association) (end1, end2 []string) {
 
 // SetCols returns the output columns of an entity-set scan: every attribute
 // occurring anywhere in the set's hierarchy, in hierarchy declaration
-// order, without duplicates.
+// order, without duplicates. The result is shared with the schema and must
+// not be written into.
 func SetCols(s *edm.Schema, set *edm.EntitySet) []string {
-	var out []string
-	seen := map[string]bool{}
-	add := func(names []string) {
-		for _, n := range names {
-			if !seen[n] {
-				seen[n] = true
-				out = append(out, n)
-			}
-		}
-	}
-	add(s.AttrNames(set.Type))
-	for _, d := range s.Descendants(set.Type) {
-		add(s.AttrNames(d))
-	}
-	return out
+	return s.SubtreeAttrNames(set.Type)
 }
 
-// Cols computes the output column names of an expression.
+// Cols computes the output column names of an expression. The result may
+// be shared with the schemas and must not be written into.
 func (c *Catalog) Cols(e Expr) ([]string, error) {
 	switch v := e.(type) {
 	case ScanTable:

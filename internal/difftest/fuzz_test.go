@@ -175,6 +175,9 @@ func runDifferential(t *testing.T, wl, size byte, opBytes []byte, stateSeed uint
 		if aerr != nil {
 			t.Skipf("incremental apply rejected %s: %v", op.Describe(), aerr)
 		}
+		if err := CheckSchemaIndex(nm.Client); err != nil {
+			t.Fatalf("after incremental %s: %v", op.Describe(), err)
+		}
 		m, v = nm, nv
 	}
 
@@ -202,6 +205,9 @@ func runDifferential(t *testing.T, wl, size byte, opBytes []byte, stateSeed uint
 		nm, nv, aerr := sic.ApplyCtx(ctx, fm, fv, op)
 		if aerr != nil {
 			t.Fatalf("structural apply of %s failed though incremental apply succeeded: %v", descs[i], aerr)
+		}
+		if err := CheckSchemaIndex(nm.Client); err != nil {
+			t.Fatalf("after structural %s: %v", descs[i], err)
 		}
 		fm, fv = nm, nv
 	}

@@ -10,7 +10,9 @@
 // the incremental compiler to structural application plus a full compile:
 // whenever the incremental path accepts an SMO sequence, the full path
 // must too, and both view sets must materialize and roundtrip a random
-// client state identically.
+// client state identically. CheckSchemaIndex (schema.go) holds the client
+// schema's index to the scan definitions it replaced, after every step of
+// those sequences and of edm's own mutator fuzz target.
 package difftest
 
 import (

@@ -8,7 +8,9 @@ package edm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync/atomic"
 
 	"github.com/ormkit/incmap/internal/cond"
 )
@@ -86,11 +88,16 @@ type Association struct {
 
 // Schema is a mutable client schema. The zero value is an empty schema
 // ready for use.
+//
+// Reads are served from a derived index (index.go) that every mutator
+// drops. Slices a read returns are shared with the index and with other
+// readers: callers must not write into them, and an append copies.
 type Schema struct {
 	types  map[string]*EntityType
 	order  []string
 	sets   []*EntitySet
 	assocs []*Association
+	idx    atomic.Pointer[index]
 }
 
 // NewSchema returns an empty client schema.
@@ -150,6 +157,7 @@ func (s *Schema) AddType(t EntityType) error {
 	cp.Key = append([]string(nil), t.Key...)
 	s.types[t.Name] = &cp
 	s.order = append(s.order, t.Name)
+	s.invalidate()
 	return nil
 }
 
@@ -182,6 +190,7 @@ func (s *Schema) RemoveType(name string) error {
 			break
 		}
 	}
+	s.invalidate()
 	return nil
 }
 
@@ -229,10 +238,8 @@ func (s *Schema) AddAttr(typeName string, a Attribute) error {
 	if !ok {
 		return fmt.Errorf("edm: unknown entity type %q", typeName)
 	}
-	for _, n := range s.hierarchyOf(typeName) {
-		if s.hasDeclaredAttr(n, a.Name) {
-			return fmt.Errorf("edm: attribute %q already exists in the hierarchy of %q", a.Name, typeName)
-		}
+	if slices.Contains(s.SubtreeAttrNames(s.RootOf(typeName)), a.Name) {
+		return fmt.Errorf("edm: attribute %q already exists in the hierarchy of %q", a.Name, typeName)
 	}
 	t = s.mutableType(typeName)
 	t.Attrs = append(t.Attrs, a)
@@ -258,6 +265,7 @@ func (s *Schema) AddSet(set EntitySet) error {
 	}
 	cp := set
 	s.sets = append(s.sets, &cp)
+	s.invalidate()
 	return nil
 }
 
@@ -280,6 +288,7 @@ func (s *Schema) AddAssociation(a Association) error {
 	}
 	cp := a
 	s.assocs = append(s.assocs, &cp)
+	s.invalidate()
 	return nil
 }
 
@@ -288,6 +297,7 @@ func (s *Schema) RemoveAssociation(name string) error {
 	for i, a := range s.assocs {
 		if a.Name == name {
 			s.assocs = append(s.assocs[:i], s.assocs[i+1:]...)
+			s.invalidate()
 			return nil
 		}
 	}
@@ -310,53 +320,31 @@ func (s *Schema) Types() []*EntityType {
 func (s *Schema) Sets() []*EntitySet { return s.sets }
 
 // Set returns the named entity set, or nil.
-func (s *Schema) Set(name string) *EntitySet {
-	for _, e := range s.sets {
-		if e.Name == name {
-			return e
-		}
-	}
-	return nil
-}
+func (s *Schema) Set(name string) *EntitySet { return s.index().sets[name] }
 
 // Associations returns all association types in declaration order.
 func (s *Schema) Associations() []*Association { return s.assocs }
 
 // Association returns the named association, or nil.
-func (s *Schema) Association(name string) *Association {
-	for _, a := range s.assocs {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}
+func (s *Schema) Association(name string) *Association { return s.index().assocs[name] }
 
 // SetFor returns the entity set that persists instances of the given type:
 // the set rooted at the type's hierarchy root.
 func (s *Schema) SetFor(typeName string) *EntitySet {
-	root := s.RootOf(typeName)
-	if root == "" {
+	x, id, ok := s.lookup(typeName)
+	if !ok {
 		return nil
 	}
-	for _, e := range s.sets {
-		if e.Type == root {
-			return e
-		}
-	}
-	return nil
+	return x.setOf[x.ents[x.root[id]].Name]
 }
 
 // RootOf returns the hierarchy root of the given type, or "" if unknown.
 func (s *Schema) RootOf(typeName string) string {
-	t, ok := s.types[typeName]
+	x, id, ok := s.lookup(typeName)
 	if !ok {
 		return ""
 	}
-	for t.Base != "" {
-		t = s.types[t.Base]
-	}
-	return t.Name
+	return x.ents[x.root[id]].Name
 }
 
 // Parent returns the base type name of the given type ("" for roots).
@@ -369,40 +357,30 @@ func (s *Schema) Parent(typeName string) string {
 
 // IsSubtype reports whether sub equals typ or derives from it.
 func (s *Schema) IsSubtype(sub, typ string) bool {
-	t, ok := s.types[sub]
-	for ok {
-		if t.Name == typ {
-			return true
-		}
-		if t.Base == "" {
-			return false
-		}
-		t, ok = s.types[t.Base]
+	x := s.index()
+	i, ok := x.ids[sub]
+	if !ok {
+		return false
 	}
-	return false
+	j, ok := x.ids[typ]
+	return ok && x.pre[j] <= x.pre[i] && x.pre[i] < x.pre[j]+x.size[j]
 }
 
 // Ancestors returns the proper ancestors of the type, nearest first.
 func (s *Schema) Ancestors(typeName string) []string {
-	var out []string
-	t, ok := s.types[typeName]
-	for ok && t.Base != "" {
-		out = append(out, t.Base)
-		t, ok = s.types[t.Base]
+	if x, id, ok := s.lookup(typeName); ok {
+		return x.anc.at(id)
 	}
-	return out
+	return nil
 }
 
 // Descendants returns the proper descendants of the type in declaration
 // order.
 func (s *Schema) Descendants(typeName string) []string {
-	var out []string
-	for _, n := range s.order {
-		if n != typeName && s.IsSubtype(n, typeName) {
-			out = append(out, n)
-		}
+	if x, id, ok := s.lookup(typeName); ok {
+		return x.desc.at(id)
 	}
-	return out
+	return nil
 }
 
 // Children returns the direct subtypes of the type in declaration order.
@@ -419,37 +397,14 @@ func (s *Schema) Children(typeName string) []string {
 // ConcreteIn returns the non-abstract types in the sub-hierarchy rooted at
 // typeName (inclusive), in declaration order.
 func (s *Schema) ConcreteIn(typeName string) []string {
-	var out []string
-	for _, n := range s.order {
-		if !s.types[n].Abstract && s.IsSubtype(n, typeName) {
-			out = append(out, n)
-		}
+	if x, id, ok := s.lookup(typeName); ok {
+		return x.concrete.at(id)
 	}
-	return out
+	return nil
 }
 
-// hierarchyOf returns every type in the same hierarchy as typeName.
-func (s *Schema) hierarchyOf(typeName string) []string {
-	root := s.RootOf(typeName)
-	var out []string
-	for _, n := range s.order {
-		if s.IsSubtype(n, root) {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-func (s *Schema) hasDeclaredAttr(typeName, attr string) bool {
-	t := s.types[typeName]
-	for _, a := range t.Attrs {
-		if a.Name == attr {
-			return true
-		}
-	}
-	return false
-}
-
+// hasAttrUpward is HasAttr by a walk of the base chain, so that adding a
+// type never builds an index the addition then drops.
 func (s *Schema) hasAttrUpward(typeName, attr string) bool {
 	t, ok := s.types[typeName]
 	for ok {
@@ -469,38 +424,42 @@ func (s *Schema) hasAttrUpward(typeName, attr string) bool {
 // AllAttrs returns the attributes of the type including inherited ones,
 // root-most first.
 func (s *Schema) AllAttrs(typeName string) []Attribute {
-	chain := []*EntityType{}
-	t, ok := s.types[typeName]
-	for ok {
-		chain = append(chain, t)
-		if t.Base == "" {
-			break
-		}
-		t, ok = s.types[t.Base]
+	if x, id, ok := s.lookup(typeName); ok {
+		return x.allAttrs(id)
 	}
-	var out []Attribute
-	for i := len(chain) - 1; i >= 0; i-- {
-		out = append(out, chain[i].Attrs...)
-	}
-	return out
+	return nil
 }
 
-// AttrNames returns the names of AllAttrs.
+// AttrNames returns the names of AllAttrs. The result is never nil, so a
+// type without attributes yields an empty list.
 func (s *Schema) AttrNames(typeName string) []string {
-	attrs := s.AllAttrs(typeName)
-	out := make([]string, len(attrs))
-	for i, a := range attrs {
-		out[i] = a.Name
+	if x, id, ok := s.lookup(typeName); ok {
+		if names := x.attrNames.at(id); names != nil {
+			return names
+		}
 	}
-	return out
+	return []string{}
+}
+
+// SubtreeAttrNames returns every attribute name occurring in the
+// sub-hierarchy rooted at typeName without duplicates: the type's own
+// AttrNames, then those each descendant adds, in declaration order.
+func (s *Schema) SubtreeAttrNames(typeName string) []string {
+	x, id, ok := s.lookup(typeName)
+	switch {
+	case !ok:
+		return nil
+	case x.size[id] == 1:
+		return x.attrNames.at(id)
+	default:
+		return x.subNames.at(id)
+	}
 }
 
 // Attr looks up an attribute (inherited or declared) of the type.
 func (s *Schema) Attr(typeName, attr string) (Attribute, bool) {
-	for _, a := range s.AllAttrs(typeName) {
-		if a.Name == attr {
-			return a, true
-		}
+	if x, id, ok := s.lookup(typeName); ok {
+		return x.attr(id, attr)
 	}
 	return Attribute{}, false
 }
@@ -514,11 +473,15 @@ func (s *Schema) HasAttr(typeName, attr string) bool {
 // KeyOf returns the primary-key attributes of the type (declared on its
 // hierarchy root).
 func (s *Schema) KeyOf(typeName string) []string {
-	root := s.RootOf(typeName)
-	if root == "" {
+	x, id, ok := s.lookup(typeName)
+	if !ok {
 		return nil
 	}
-	return append([]string(nil), s.types[root].Key...)
+	k := x.ents[x.root[id]].Key
+	if len(k) == 0 {
+		return nil
+	}
+	return k[:len(k):len(k)]
 }
 
 // Validate checks global schema well-formedness beyond the incremental
@@ -568,7 +531,7 @@ func (s *Schema) Validate() error {
 // themselves — *EntityType, *EntitySet, *Association — are shared. Every
 // mutator that changes an entry in place first replaces it with a private
 // copy (see mutableType), so a clone and its source never observe each
-// other's changes.
+// other's changes. The clone builds its own index on its first read.
 func (s *Schema) Clone() *Schema {
 	c := &Schema{
 		types:  make(map[string]*EntityType, len(s.types)),
@@ -609,6 +572,7 @@ func (s *Schema) DeepClone() *Schema {
 // returns it. After Clone, entries are shared across generations; callers
 // must go through this before any in-place entry mutation.
 func (s *Schema) mutableType(name string) *EntityType {
+	s.invalidate()
 	t := *s.types[name]
 	t.Attrs = append([]Attribute(nil), t.Attrs...)
 	t.Key = append([]string(nil), t.Key...)

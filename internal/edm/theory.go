@@ -27,28 +27,26 @@ func (t *SetTheory) ConcreteTypes(subject string) []string {
 // IsSubtype implements cond.Theory.
 func (t *SetTheory) IsSubtype(sub, typ string) bool { return t.Schema.IsSubtype(sub, typ) }
 
-// Domain implements cond.Theory.
+// Domain implements cond.Theory. Of the types in the set's hierarchy that
+// carry the attribute, declared or inherited, the first in declaration
+// order decides.
 func (t *SetTheory) Domain(attr string) (cond.Domain, bool) {
 	if t.Set == nil {
 		return cond.Domain{}, false
 	}
-	for _, n := range t.Schema.hierarchyOf(t.Set.Type) {
-		if a, ok := t.Schema.Attr(n, attr); ok {
-			return a.Domain(), true
-		}
+	if a, ok := t.Schema.hierarchyAttr(t.Set.Type, attr); ok {
+		return a.Domain(), true
 	}
 	return cond.Domain{}, false
 }
 
-// Nullable implements cond.Theory.
+// Nullable implements cond.Theory, resolving the attribute as Domain does.
 func (t *SetTheory) Nullable(attr string) bool {
 	if t.Set == nil {
 		return true
 	}
-	for _, n := range t.Schema.hierarchyOf(t.Set.Type) {
-		if a, ok := t.Schema.Attr(n, attr); ok {
-			return a.Nullable
-		}
+	if a, ok := t.Schema.hierarchyAttr(t.Set.Type, attr); ok {
+		return a.Nullable
 	}
 	return true
 }

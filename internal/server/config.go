@@ -40,9 +40,9 @@ type RolloutConfig struct {
 	// rollout tolerates before the gate fails. Negative disables the gate;
 	// the default 0 fails on the first divergence.
 	MaxDivergence int `json:"maxDivergence"`
-	// MaxErrorRatePct fails the gate when the tenant's lifetime evolve
-	// error rate exceeds this percentage. 0 means DefaultMaxErrorRatePct;
-	// 100 effectively disables the gate.
+	// MaxErrorRatePct fails the gate when the error rate of the tenant's
+	// evolves since the rollout started exceeds this percentage. 0 means
+	// DefaultMaxErrorRatePct; 100 effectively disables the gate.
 	MaxErrorRatePct int `json:"maxErrorRatePct"`
 	// BackfillRetries is how many times one backfill batch retries after a
 	// fault before the rollout rolls back. 0 means DefaultBackfillRetries.

@@ -196,6 +196,9 @@ type rollout struct {
 	t   *tenant
 	id  int64
 	req rolloutRequest
+	// evolves0 and errors0 are the tenant's evolve and error counts when
+	// the rollout started: the health gate judges only the evolves since.
+	evolves0, errors0 int64
 
 	mu           sync.Mutex
 	phase        string
@@ -219,6 +222,17 @@ type rollout struct {
 	batches  []batchSpec
 
 	doneCh chan struct{}
+}
+
+// newRollout starts a rollout record for t in the given phase, snapshotting
+// the tenant's evolve counters so that failures from before the rollout
+// never count against its health gate.
+func newRollout(t *tenant, id int64, req rolloutRequest, phase string) *rollout {
+	return &rollout{
+		t: t, id: id, req: req, phase: phase,
+		evolves0: t.evolves.Load(), errors0: t.errors.Load(),
+		doneCh: make(chan struct{}),
+	}
 }
 
 // finished reports whether the rollout reached a terminal phase.
@@ -315,7 +329,7 @@ func (r *rollout) gate(stage string) bool {
 	if st := r.t.status(); st.Stale {
 		return fail(fmt.Sprintf("tenant serving state is stale: %s", st.StaleReason))
 	}
-	evolves, errs := r.t.evolves.Load(), r.t.errors.Load()
+	evolves, errs := r.t.evolves.Load()-r.evolves0, r.t.errors.Load()-r.errors0
 	if evolves > 0 {
 		if rate := errs * 100 / evolves; rate > int64(eff.MaxErrorRatePct) {
 			return fail(fmt.Sprintf("evolve error rate %d%% exceeds %d%%", rate, eff.MaxErrorRatePct))
@@ -805,21 +819,16 @@ func (s *Server) resumeRollout(t *tenant) {
 		return
 	}
 
-	r := &rollout{
-		t:       t,
-		id:      s.rolloutSeq.Add(1),
-		req:     rolloutRequest{Strategies: cp.Strategies, BatchRows: cp.BatchRows},
-		phase:   phaseBackfill,
-		fromFP:  head.FP,
-		toFP:    cp.ToFP,
-		resumed: true,
-		from:    xver.Gen{M: head.M, V: head.V},
-		pending: pg,
-		plan:    plan,
-		src:     src,
-		batches: planBatches(src, cp.BatchRows),
-		doneCh:  make(chan struct{}),
-	}
+	r := newRollout(t, s.rolloutSeq.Add(1),
+		rolloutRequest{Strategies: cp.Strategies, BatchRows: cp.BatchRows}, phaseBackfill)
+	r.fromFP = head.FP
+	r.toFP = cp.ToFP
+	r.resumed = true
+	r.from = xver.Gen{M: head.M, V: head.V}
+	r.pending = pg
+	r.plan = plan
+	r.src = src
+	r.batches = planBatches(src, cp.BatchRows)
 	r.totalBatches = len(r.batches)
 
 	// Reuse the longest contiguous prefix of intact batch checkpoints, up
@@ -918,13 +927,7 @@ func (s *Server) handleRolloutPost(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	ro := &rollout{
-		t:      t,
-		id:     s.rolloutSeq.Add(1),
-		req:    req,
-		phase:  phaseProposed,
-		doneCh: make(chan struct{}),
-	}
+	ro := newRollout(t, s.rolloutSeq.Add(1), req, phaseProposed)
 	t.ro = ro
 	t.roMu.Unlock()
 	mRolloutStarted.Add(1)

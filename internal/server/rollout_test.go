@@ -197,6 +197,55 @@ func TestRolloutCanaryGateRollsBack(t *testing.T) {
 	}
 }
 
+// TestRolloutGateJudgesOwnEvolves: the health gate's error rate counts
+// only the evolves made since the rollout started. A tenant with a burst
+// of ten failed evolves behind it still rolls out, and a rollout record's
+// gate passes while the evolves after it succeed and fails once they fail.
+func TestRolloutGateJudgesOwnEvolves(t *testing.T) {
+	srv, ts := testDaemon(t, Options{Store: testStore(t, t.TempDir())})
+	registerChain(t, ts.URL, "ge", "ge", 3)
+	seedData(t, ts.URL, "ge", 7)
+	for i := 0; i < 10; i++ {
+		resp, _, err := evolveAddEntity(ts.URL, "ge", fmt.Sprintf("geBad%d", i), "geNoSuchParent")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode == http.StatusOK {
+			t.Fatal("evolve under an unknown parent succeeded")
+		}
+	}
+	// One good evolve clears the stale mark the failures left; the
+	// lifetime error rate stays at 10 of 11.
+	if resp, _, err := evolveAddEntity(ts.URL, "ge", "geGood", "geEntity1"); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("good evolve: %v %v", resp, err)
+	}
+	if st := tenantStatus(t, ts.URL, "ge"); st.Errors != 10 || st.Evolves != 11 || st.Stale {
+		t.Fatalf("tenant before rollout: %d errors of %d evolves, stale %v", st.Errors, st.Evolves, st.Stale)
+	}
+	startRollout(t, ts.URL, "ge", rolloutBody("ge", nil))
+	if st := waitRollout(t, ts.URL, "ge"); st.Phase != phaseDone {
+		t.Fatalf("rollout after old failures: phase %q (notes %v), want done", st.Phase, st.Notes)
+	}
+
+	tn, ok := srv.lookup("ge")
+	if !ok {
+		t.Fatal("tenant ge not found")
+	}
+	r := newRollout(tn, -1, rolloutRequest{}, phaseCanary)
+	if !r.gate("canary") {
+		t.Fatalf("gate failed with no evolves since the rollout started: %v", r.snapshot().Notes)
+	}
+	tn.evolves.Add(4)
+	if !r.gate("cutover") {
+		t.Fatalf("gate failed while the rollout's own evolves succeed: %v", r.snapshot().Notes)
+	}
+	tn.evolves.Add(6)
+	tn.errors.Add(6)
+	if r.gate("verify") {
+		t.Fatal("gate passed with 6 of the rollout's 10 evolves failed")
+	}
+}
+
 // TestRolloutPostCutoverRollback: the gate fails after cutover (third gate
 // evaluation: canary, cutover, verify). The engine must restore the prior
 // generation verbatim — same fingerprint — and the exact pre-rollout rows,

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/ormkit/incmap/internal/cond"
 	"github.com/ormkit/incmap/internal/edm"
@@ -141,7 +142,9 @@ func buildCustomerTPH(m *frag.Mapping, h, n int) {
 	must(m.Store.AddTable(rel.Table{Name: custRootTable(h), Cols: cols, Key: []string{"Id"}}))
 	for i := 0; i < n; i++ {
 		ty := custType(h, i)
-		attrs := m.Client.AttrNames(ty)
+		// The fragment owns its attribute list; AttrNames serves a slice
+		// shared with the schema.
+		attrs := slices.Clone(m.Client.AttrNames(ty))
 		colOf := map[string]string{}
 		for _, a := range attrs {
 			colOf[a] = a

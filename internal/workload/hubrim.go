@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/ormkit/incmap/internal/cond"
 	"github.com/ormkit/incmap/internal/edm"
@@ -146,10 +147,12 @@ func buildHubRimTPH(m *frag.Mapping, opt HubRimOptions, hubName func(int) string
 			ColOf:      colOf,
 		})
 	}
+	// Fragments own their attribute lists; AttrNames serves a slice
+	// shared with the schema.
 	for i := 0; i < opt.N; i++ {
-		addFrag(hubName(i), m.Client.AttrNames(hubName(i)))
+		addFrag(hubName(i), slices.Clone(m.Client.AttrNames(hubName(i))))
 		for j := 0; j < opt.M; j++ {
-			addFrag(rimName(i, j), m.Client.AttrNames(rimName(i, j)))
+			addFrag(rimName(i, j), slices.Clone(m.Client.AttrNames(rimName(i, j))))
 		}
 	}
 }
