@@ -492,7 +492,9 @@ func GenerateSQL(m *Mapping, v *cqt.View) (string, error) {
 // EncodeMapping writes a mapping as JSON.
 func EncodeMapping(w io.Writer, m *Mapping) error { return modelio.Encode(w, m) }
 
-// DecodeMapping reads a mapping from JSON.
+// DecodeMapping reads a mapping from JSON. It reads r to EOF: the reader
+// must hold exactly one document, and anything but whitespace after it is
+// an error.
 func DecodeMapping(r io.Reader) (*Mapping, error) { return modelio.Decode(r) }
 
 // EncodeViews writes compiled views as JSON. Conditions are encoded
@@ -500,7 +502,8 @@ func DecodeMapping(r io.Reader) (*Mapping, error) { return modelio.Decode(r) }
 // hash-consing table (decoded conditions are pointer-equal to live ones).
 func EncodeViews(w io.Writer, v *Views) error { return modelio.EncodeViews(w, v) }
 
-// DecodeViews reads compiled views from JSON.
+// DecodeViews reads compiled views from JSON. Like DecodeMapping, it reads
+// r to EOF and rejects anything but whitespace after the document.
 func DecodeViews(r io.Reader) (*Views, error) { return modelio.DecodeViews(r) }
 
 // Persistence --------------------------------------------------------------------

@@ -234,6 +234,23 @@ func newSession(g Generation, opts Options) *Session {
 	return s
 }
 
+// OpenSession starts a session at the generation Options.Store holds under
+// fp, a warm start. The generation keeps fp as its address: the stored
+// mapping is not fingerprinted again. The store's SatCache snapshot is
+// left to the caller, which may share one cache across sessions.
+func OpenSession(fp string, opts Options) (*Session, error) {
+	if opts.Store == nil {
+		return nil, errors.New("pipeline: OpenSession needs a store")
+	}
+	m, v, err := opts.Store.LoadGeneration(fp)
+	if err != nil {
+		return nil, err
+	}
+	s := newSession(Generation{M: m, V: v, FP: fp}, opts)
+	atomic.AddInt64(&s.stats.WarmStarts, 1)
+	return s, nil
+}
+
 // NewSessionCompile starts a session at a compiled generation for the
 // mapping: restored from the persistent store when Options.Store holds a
 // generation with a matching fingerprint (a warm start — no solver work at
@@ -246,12 +263,10 @@ func NewSessionCompile(ctx context.Context, m *frag.Mapping, opts Options) (*Ses
 	if opts.Store != nil {
 		cache := opts.sharedSatCache()
 		if fpErr == nil {
-			if lm, lv, lerr := opts.Store.LoadGeneration(fp); lerr == nil {
+			if s, err := OpenSession(fp, opts); err == nil {
 				// Warm the solver too: persisted verdicts and lemmas apply to
 				// any later Evolve over unchanged schema facts.
 				_ = opts.Store.LoadSatCache(cache)
-				s := newSession(Generation{M: lm, V: lv, FP: fp}, opts)
-				atomic.AddInt64(&s.stats.WarmStarts, 1)
 				return s, nil
 			}
 			// Generation miss: persisted verdicts may still cover much of the

@@ -484,6 +484,45 @@ func TestSessionWarmStart(t *testing.T) {
 	}
 }
 
+// TestOpenSessionKeepsStoredAddress saves a generation under an address
+// that is not its mapping's fingerprint and opens a session there: the
+// head carries the stored address, so the loaded mapping was not
+// fingerprinted again, and the open counts as a warm start.
+func TestOpenSessionKeepsStoredAddress(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := workload.PaperInitial()
+	v, err := compiler.New().Compile(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const fp = "00112233445566778899aabbccddeeff"
+	if real, _ := store.Fingerprint(m); real == fp {
+		t.Fatal("test address collides with the real fingerprint")
+	}
+	if err := st.SaveGeneration(fp, m, v); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenSession(fp, Options{Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if head := s.Head(); head.FP != fp || head.Seq != 1 {
+		t.Fatalf("opened head is %q at seq %d, want %q at seq 1", head.FP, head.Seq, fp)
+	}
+	if ws := s.Stats(); ws.WarmStarts != 1 {
+		t.Fatalf("open did not count a warm start: %+v", ws)
+	}
+	if _, err := OpenSession("ffeeddccbbaa99887766554433221100", Options{Store: st}); err == nil {
+		t.Fatal("opened a session at an address the store does not hold")
+	}
+	if _, err := OpenSession(fp, Options{}); err == nil {
+		t.Fatal("opened a session without a store")
+	}
+}
+
 // TestSessionWarmStartSatCache checks persisted solver state flows back:
 // the warm session's shared SatCache reports persisted hits once its
 // compiles consult verdicts the cold process solved.

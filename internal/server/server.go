@@ -223,15 +223,17 @@ func (s *Server) restoreTenants() {
 		if !validTenantName(name) {
 			continue
 		}
-		m, v, err := s.opts.Store.LoadGeneration(ent.Fingerprint)
-		if err != nil {
-			continue // damaged or pruned: tenant re-registers cold
-		}
 		b := fault.Budget{
 			MaxContainments: ent.MaxContainments,
 			MaxWallTime:     time.Duration(ent.MaxWallTimeMs) * time.Millisecond,
 		}
-		t := s.newTenant(name, pipeline.NewSession(m, v, s.sessionOptions(b)), b, ent.Generation-1)
+		// The manifest names the generation's address, so the session
+		// opens at it without fingerprinting the loaded mapping again.
+		sess, err := pipeline.OpenSession(ent.Fingerprint, s.sessionOptions(b))
+		if err != nil {
+			continue // damaged or pruned: tenant re-registers cold
+		}
+		t := s.newTenant(name, sess, b, ent.Generation-1)
 		t.restoreData()
 		s.tenants[name] = t
 		s.restored++

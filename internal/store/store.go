@@ -28,12 +28,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
-
 	"sync"
 	"sync/atomic"
 
@@ -134,16 +134,6 @@ func Fingerprint(m *frag.Mapping, extras ...string) (string, error) {
 	return hex.EncodeToString(h.Sum(nil)[:16]), nil
 }
 
-// record is the on-disk envelope of every artifact: appendRecord writes it
-// and readRecord decodes it.
-type record struct {
-	Version     int             `json:"version"`
-	Class       string          `json:"class"`
-	Fingerprint string          `json:"fingerprint,omitempty"`
-	Payload     json.RawMessage `json:"payload"`
-	Checksum    string          `json:"sha256"`
-}
-
 // checksumOf binds the payload to its envelope fields, so a record cannot
 // be truncated, bit-flipped, or spliced into another class/fingerprint/
 // version without detection.
@@ -154,23 +144,40 @@ func checksumOf(version int, class, fp string, payload []byte) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// envelopeHead returns the envelope fields that precede a payload, in the
+// order appendRecord writes them: the version (with the comma after it),
+// the class, the fingerprint (empty when there is none) and the payload
+// key. readRecord matches a record against the same fields.
+func envelopeHead(class, fp string) [4][]byte {
+	var f [4][]byte
+	f[0] = strconv.AppendInt([]byte(`{"version":`), FormatVersion, 10)
+	f[0] = append(f[0], ',')
+	f[1] = appendJSONString([]byte(`"class":`), class)
+	if fp != "" {
+		f[2] = appendJSONString([]byte(`,"fingerprint":`), fp)
+	}
+	f[3] = []byte(`,"payload":`)
+	return f
+}
+
+// The envelope after a payload: its checksum in hex, and the closing brace.
+const (
+	sumKey    = `,"sha256":"`
+	sumSuffix = `"}`
+	tailLen   = len(sumKey) + 2*sha256.Size + len(sumSuffix)
+)
+
 // appendRecord appends the envelope of one artifact around its payload,
 // copied verbatim. For a compact payload these are the bytes json.Marshal
 // writes for the record.
 func appendRecord(dst []byte, class, fp string, payload []byte) []byte {
-	dst = append(dst, `{"version":`...)
-	dst = strconv.AppendInt(dst, FormatVersion, 10)
-	dst = append(dst, `,"class":`...)
-	dst = appendJSONString(dst, class)
-	if fp != "" {
-		dst = append(dst, `,"fingerprint":`...)
-		dst = appendJSONString(dst, fp)
+	for _, f := range envelopeHead(class, fp) {
+		dst = append(dst, f...)
 	}
-	dst = append(dst, `,"payload":`...)
 	dst = append(dst, payload...)
-	dst = append(dst, `,"sha256":"`...)
+	dst = append(dst, sumKey...)
 	dst = append(dst, checksumOf(FormatVersion, class, fp, payload)...)
-	return append(dst, `"}`...)
+	return append(dst, sumSuffix...)
 }
 
 // appendJSONString appends s as a JSON string. Envelope strings are short,
@@ -239,10 +246,11 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// readRecord loads and verifies one artifact. Every failure mode —
-// missing file, truncation, bit flip, wrong version, wrong class, wrong
-// fingerprint — returns an error; callers degrade to a cold start.
-func (s *Store) readRecord(name, class, fp string) (json.RawMessage, error) {
+// readRecord loads and verifies one artifact and returns its payload, a
+// sub-slice of the bytes read. Every failure mode — missing file,
+// truncation, bit flip, wrong version, wrong class, wrong fingerprint —
+// returns an error; callers degrade to a cold start.
+func (s *Store) readRecord(name, class, fp string) ([]byte, error) {
 	if ferr := faultinject.At(faultinject.SiteStoreLoad); ferr != nil {
 		return nil, fmt.Errorf("store: %w", ferr)
 	}
@@ -252,37 +260,71 @@ func (s *Store) readRecord(name, class, fp string) (json.RawMessage, error) {
 	}
 	s.bytesRead.Add(int64(len(data)))
 	obsv.Add(obsv.MStoreBytesRead, int64(len(data)))
-	var rec record
-	if err := json.Unmarshal(data, &rec); err != nil {
-		return nil, fmt.Errorf("store: %s: corrupt record: %w", name, err)
+	payload, err := openRecord(data, class, fp)
+	if err != nil {
+		return nil, fmt.Errorf("store: %s: %w", name, err)
 	}
-	if rec.Version != FormatVersion {
-		return nil, fmt.Errorf("store: %s: format version %d, want %d", name, rec.Version, FormatVersion)
-	}
-	if rec.Class != class {
-		return nil, fmt.Errorf("store: %s: class %q, want %q", name, rec.Class, class)
-	}
-	if rec.Fingerprint != fp {
-		return nil, fmt.Errorf("store: %s: fingerprint mismatch", name)
-	}
-	if rec.Checksum != checksumOf(rec.Version, rec.Class, rec.Fingerprint, rec.Payload) {
-		return nil, fmt.Errorf("store: %s: checksum mismatch", name)
-	}
-	return rec.Payload, nil
+	return payload, nil
 }
 
-// genPayload is the payload of a compiled generation: the mapping in its
-// document form and the views in their structural form.
-type genPayload struct {
-	Mapping json.RawMessage `json:"mapping"`
-	Views   json.RawMessage `json:"views"`
+// openRecord matches data against the envelope appendRecord writes around
+// a payload for class and fp, byte for byte, and returns the payload once
+// its checksum verifies. Every record the store ever wrote has that
+// layout; a file with any other is corrupt.
+func openRecord(data []byte, class, fp string) ([]byte, error) {
+	rest := data
+	for i, f := range envelopeHead(class, fp) {
+		var ok bool
+		if rest, ok = bytes.CutPrefix(rest, f); !ok {
+			return nil, envelopeMismatch(i, rest, class)
+		}
+	}
+	if len(rest) < tailLen || !bytes.HasPrefix(rest[len(rest)-tailLen:], []byte(sumKey)) ||
+		!bytes.HasSuffix(rest, []byte(sumSuffix)) {
+		return nil, errCorrupt
+	}
+	payload := rest[:len(rest)-tailLen]
+	sum := rest[len(rest)-tailLen+len(sumKey) : len(rest)-len(sumSuffix)]
+	if string(sum) != checksumOf(FormatVersion, class, fp, payload) {
+		return nil, errors.New("checksum mismatch")
+	}
+	return payload, nil
+}
+
+var errCorrupt = errors.New("corrupt record")
+
+// envelopeMismatch names what differs where a record departs from the
+// envelope at field i of envelopeHead; rest is the record from there on.
+func envelopeMismatch(i int, rest []byte, class string) error {
+	switch i {
+	case 0:
+		if digits, ok := bytes.CutPrefix(rest, []byte(`{"version":`)); ok {
+			n := 0
+			for n < len(digits) && '0' <= digits[n] && digits[n] <= '9' {
+				n++
+			}
+			if v, err := strconv.Atoi(string(digits[:n])); err == nil && v != FormatVersion {
+				return fmt.Errorf("format version %d, want %d", v, FormatVersion)
+			}
+		}
+	case 1:
+		if bytes.HasPrefix(rest, []byte(`"class":`)) {
+			return fmt.Errorf("class mismatch, want %q", class)
+		}
+	case 2, 3:
+		if bytes.HasPrefix(rest, []byte(`,"fingerprint":`)) || bytes.HasPrefix(rest, []byte(`,"payload":`)) {
+			return errors.New("fingerprint mismatch")
+		}
+	}
+	return errCorrupt
 }
 
 func genFileName(fp string) string { return "gen-" + fp + ".json" }
 
 // SaveGeneration persists a compiled (mapping, views) pair under its
-// fingerprint and prunes generations beyond the cap. The payload is the
-// compact genPayload, appended in one buffer.
+// fingerprint and prunes generations beyond the cap. The payload is
+// {"mapping":…,"views":…}, the compact mapping document and views
+// document appended in one buffer; modelio.DecodeGeneration reads it.
 func (s *Store) SaveGeneration(fp string, m *frag.Mapping, v *frag.Views) error {
 	payload, err := modelio.AppendMapping(append([]byte(nil), `{"mapping":`...), m)
 	if err != nil {
@@ -312,20 +354,10 @@ func (s *Store) LoadGeneration(fp string) (*frag.Mapping, *frag.Views, error) {
 		s.miss()
 		return nil, nil, err
 	}
-	var gp genPayload
-	if err := json.Unmarshal(payload, &gp); err != nil {
-		s.miss()
-		return nil, nil, fmt.Errorf("store: %w", err)
-	}
-	m, err := modelio.Decode(bytes.NewReader(gp.Mapping))
+	m, v, err := modelio.DecodeGeneration(payload)
 	if err != nil {
 		s.miss()
-		return nil, nil, fmt.Errorf("store: generation mapping: %w", err)
-	}
-	v, err := modelio.DecodeViews(bytes.NewReader(gp.Views))
-	if err != nil {
-		s.miss()
-		return nil, nil, fmt.Errorf("store: generation views: %w", err)
+		return nil, nil, fmt.Errorf("store: generation: %w", err)
 	}
 	s.hit()
 	return m, v, nil
@@ -394,12 +426,12 @@ func (s *Store) LoadSatCache(c *cond.SatCache) error {
 		s.miss()
 		return err
 	}
-	var snap cond.SatSnapshot
-	if err := json.Unmarshal(payload, &snap); err != nil {
+	snap, err := modelio.DecodeSnapshot(payload)
+	if err != nil {
 		s.miss()
 		return fmt.Errorf("store: satcache: %w", err)
 	}
-	c.Import(&snap)
+	c.Import(snap)
 	s.hit()
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -19,7 +20,7 @@ import (
 	"github.com/ormkit/incmap/internal/workload"
 )
 
-func compiledPair(t *testing.T, m *frag.Mapping) (*frag.Mapping, *frag.Views) {
+func compiledPair(t testing.TB, m *frag.Mapping) (*frag.Mapping, *frag.Views) {
 	t.Helper()
 	v, err := compiler.New().Compile(m)
 	if err != nil {
@@ -123,6 +124,23 @@ func TestFingerprintSensitivity(t *testing.T) {
 	if f, _ := Fingerprint(m1); f != f1a {
 		t.Fatal("changing a deep copy moved the original's fingerprint")
 	}
+}
+
+// record is the on-disk envelope of every artifact in its encoding/json
+// form: appendRecord writes the bytes json.Marshal writes for it.
+type record struct {
+	Version     int             `json:"version"`
+	Class       string          `json:"class"`
+	Fingerprint string          `json:"fingerprint,omitempty"`
+	Payload     json.RawMessage `json:"payload"`
+	Checksum    string          `json:"sha256"`
+}
+
+// genPayload is the payload of a compiled generation in its encoding/json
+// form: the mapping document and the views document.
+type genPayload struct {
+	Mapping json.RawMessage `json:"mapping"`
+	Views   json.RawMessage `json:"views"`
 }
 
 // marshalRecord builds a record the way json.Marshal writes the envelope.
@@ -416,6 +434,50 @@ func TestCorruptionColdStart(t *testing.T) {
 	}
 }
 
+// TestEnvelopeErrorsAreDistinct checks that a record of another version,
+// class or fingerprint, or with a bad checksum, fails with its own error
+// and counts a miss, and that a record encoding/json would read but whose
+// envelope is laid out differently from appendRecord's is corrupt.
+func TestEnvelopeErrorsAreDistinct(t *testing.T) {
+	fp := "00112233445566778899aabbccddeeff"
+	payload := []byte(`{"mapping":null,"views":null}`)
+	good := string(appendRecord(nil, classGeneration, fp, payload))
+	sum := checksumOf(FormatVersion, classGeneration, fp, payload)
+	for _, tc := range []struct{ name, rec, want string }{
+		{"version", strings.Replace(good, `{"version":1,`, `{"version":12,`, 1), "format version 12"},
+		{"class", strings.Replace(good, `"class":"generation"`, `"class":"satcache"`, 1), "class mismatch"},
+		{"fingerprint", strings.Replace(good, fp, "feedface", 1), "fingerprint mismatch"},
+		{"no fingerprint", strings.Replace(good, `,"fingerprint":"`+fp+`"`, "", 1), "fingerprint mismatch"},
+		{"checksum", strings.Replace(good, sum, strings.Repeat("0", len(sum)), 1), "checksum mismatch"},
+		{"reordered", `{"class":"generation","version":1,"fingerprint":"` + fp + `","payload":` + string(payload) + `,"sha256":"` + sum + `"}`, "corrupt record"},
+		{"spaced", strings.Replace(good, `"payload":`, `"payload" :`, 1), "corrupt record"},
+		{"space in payload", strings.Replace(good, `"payload":`, `"payload": `, 1), "checksum mismatch"},
+		{"trailing newline", good + "\n", "corrupt record"},
+		{"upper-case checksum", strings.Replace(good, sum, strings.ToUpper(sum), 1), "checksum mismatch"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, genFileName(fp)), []byte(tc.rec), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, _, err = s.LoadGeneration(fp)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("load error %v, want one naming %q", err, tc.want)
+			}
+			if s.Stats().Misses != 1 {
+				t.Fatalf("misses %d, want 1", s.Stats().Misses)
+			}
+		})
+	}
+	if _, err := openRecord([]byte(good), classGeneration, fp); err != nil {
+		t.Fatalf("the record appendRecord wrote does not open: %v", err)
+	}
+}
+
 // TestTornWrite simulates a kill -9 mid-save: a half-written temp file next
 // to an intact (old) record. The old record must still load; the stray temp
 // must not be picked up.
@@ -484,9 +546,29 @@ func TestPruning(t *testing.T) {
 }
 
 // FuzzStoreDecode feeds arbitrary bytes through both load paths: nothing
-// may panic, and nothing invalid may be accepted as a generation.
+// may panic, and nothing invalid may be accepted as a generation. Valid
+// generation and snapshot records seed it, so mutations start from records
+// that load.
 func FuzzStoreDecode(f *testing.F) {
 	fp := "00112233445566778899aabbccddeeff"
+	m, v := compiledPair(f, workload.PaperFull())
+	payload, err := modelio.AppendMapping([]byte(`{"mapping":`), m)
+	if err != nil {
+		f.Fatal(err)
+	}
+	payload = append(payload, `,"views":`...)
+	if payload, err = modelio.AppendViews(payload, v); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(appendRecord(nil, classGeneration, fp, append(payload, '}')))
+	c := cond.NewSatCache()
+	g := cond.Cmp{Attr: "G", Op: cond.OpEq, Val: cond.String("M")}
+	c.Satisfiable(&cond.MapTheory{}, cond.NewAnd(g, cond.NotNull("G")))
+	snap, err := json.Marshal(c.Export())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(appendRecord(nil, classSatCache, "", snap))
 	f.Add([]byte(`{"version":1,"class":"generation","payload":{},"sha256":"x"}`))
 	f.Add([]byte(`{"version":1,"class":"satcache","payload":{"entries":{"k":true}},"sha256":""}`))
 	f.Add([]byte(""))
