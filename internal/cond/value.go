@@ -80,20 +80,28 @@ func (v Value) BoolVal() bool { return v.b }
 
 // String renders the value as an Entity SQL literal.
 func (v Value) String() string {
+	var buf [32]byte
+	return string(v.AppendText(buf[:0]))
+}
+
+// AppendText appends String's rendering of the value to dst: a string
+// between single quotes, verbatim; an integer in decimal; a float in the
+// shortest 'g' form that reads back; true or false; and ? for a value of
+// no known kind.
+func (v Value) AppendText(dst []byte) []byte {
 	switch v.K {
 	case KindString:
-		return "'" + v.s + "'"
+		dst = append(dst, '\'')
+		dst = append(dst, v.s...)
+		return append(dst, '\'')
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.AppendInt(dst, v.i, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.AppendFloat(dst, v.f, 'g', -1, 64)
 	case KindBool:
-		if v.b {
-			return "true"
-		}
-		return "false"
+		return strconv.AppendBool(dst, v.b)
 	default:
-		return "?"
+		return append(dst, '?')
 	}
 }
 

@@ -136,6 +136,37 @@ func planOp(m *frag.Mapping, sp opSpec) (core.SMO, error) {
 	}
 }
 
+// fuzzPlanner plans one op spec on the clone the applier works on, as a
+// session's planners do, so the generation it is applied to stays frozen.
+// desc receives the planned SMO's description.
+type fuzzPlanner struct {
+	sp   opSpec
+	desc *string
+}
+
+func (p fuzzPlanner) Describe() string { return fmt.Sprintf("op spec %+v", p.sp) }
+
+func (p fuzzPlanner) Plan(m *frag.Mapping) (core.SMO, error) {
+	op, err := planOp(m, p.sp)
+	if err == nil {
+		*p.desc = op.Describe()
+	}
+	return op, err
+}
+
+// freezeAndCheckMemo freezes a generation, as a session does when it
+// commits one, and holds its record-assembled encodings to its deep copy's
+// (CheckMemo). The encode builds the generation's records, which the next
+// step's clone then reuses.
+func freezeAndCheckMemo(t *testing.T, what string, m *frag.Mapping, v *frag.Views) {
+	t.Helper()
+	m.Freeze()
+	v.Freeze()
+	if err := CheckMemo(m, v); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+}
+
 // runDifferential executes one fuzz input. Inputs the incremental path
 // cannot plan or apply are skipped — the fuzzer's job is to find
 // sequences both paths accept but disagree on, not to exercise error
@@ -163,21 +194,20 @@ func runDifferential(t *testing.T, wl, size byte, opBytes []byte, stateSeed uint
 	if err != nil {
 		t.Fatalf("base workload (wl=%d size=%d) failed to compile: %v", wl, size, err)
 	}
+	freezeAndCheckMemo(t, "base generation", m, v)
 	descs := make([]string, 0, len(specs))
 	for _, sp := range specs {
-		op, perr := planOp(m, sp)
-		if perr != nil {
-			t.Skipf("planning rejected: %v", perr)
-		}
-		descs = append(descs, op.Describe())
+		var desc string
 		ic := core.NewIncremental()
-		nm, nv, aerr := ic.ApplyCtx(ctx, m, v, op)
+		nm, nv, aerr := ic.ApplyCtx(ctx, m, v, fuzzPlanner{sp, &desc})
 		if aerr != nil {
-			t.Skipf("incremental apply rejected %s: %v", op.Describe(), aerr)
+			t.Skipf("incremental apply rejected %+v: %v", sp, aerr)
 		}
+		descs = append(descs, desc)
 		if err := CheckSchemaIndex(nm.Client); err != nil {
-			t.Fatalf("after incremental %s: %v", op.Describe(), err)
+			t.Fatalf("after incremental %s: %v", desc, err)
 		}
+		freezeAndCheckMemo(t, "after incremental "+desc, nm, nv)
 		m, v = nm, nv
 	}
 
@@ -192,23 +222,22 @@ func runDifferential(t *testing.T, wl, size byte, opBytes []byte, stateSeed uint
 	if err != nil {
 		t.Fatalf("recompiling base workload: %v", err)
 	}
+	freezeAndCheckMemo(t, "base generation of the full path", fm, fv)
 	for i, sp := range specs {
-		op, perr := planOp(fm, sp)
-		if perr != nil {
-			t.Fatalf("full path could not plan %s though the incremental path did: %v", descs[i], perr)
-		}
-		if d := op.Describe(); d != descs[i] {
-			t.Fatalf("paths planned different SMOs at step %d: %q vs %q", i, descs[i], d)
-		}
+		var desc string
 		sic := core.NewIncremental()
 		sic.Opts.SkipValidation = true
-		nm, nv, aerr := sic.ApplyCtx(ctx, fm, fv, op)
+		nm, nv, aerr := sic.ApplyCtx(ctx, fm, fv, fuzzPlanner{sp, &desc})
 		if aerr != nil {
 			t.Fatalf("structural apply of %s failed though incremental apply succeeded: %v", descs[i], aerr)
+		}
+		if desc != descs[i] {
+			t.Fatalf("paths planned different SMOs at step %d: %q vs %q", i, descs[i], desc)
 		}
 		if err := CheckSchemaIndex(nm.Client); err != nil {
 			t.Fatalf("after structural %s: %v", descs[i], err)
 		}
+		freezeAndCheckMemo(t, "after structural "+descs[i], nm, nv)
 		fm, fv = nm, nv
 	}
 	full := &compiler.Compiler{}
@@ -216,6 +245,7 @@ func runDifferential(t *testing.T, wl, size byte, opBytes []byte, stateSeed uint
 	if cerr != nil {
 		t.Fatalf("full compilation rejected a mapping the incremental compiler accepted (ops %v): %v", descs, cerr)
 	}
+	freezeAndCheckMemo(t, "after the fallback's full compile", fm, fullViews)
 
 	// Semantic comparison: both view sets must materialize the same random
 	// client state to the same store state, and both must roundtrip it.

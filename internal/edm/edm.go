@@ -92,20 +92,38 @@ type Association struct {
 // Reads are served from a derived index (index.go) that every mutator
 // drops. Slices a read returns are shared with the index and with other
 // readers: callers must not write into them, and an append copies.
+//
+// A frozen schema (Freeze) belongs to a generation a session serves; its
+// mutators panic.
 type Schema struct {
 	types  map[string]*EntityType
 	order  []string
 	sets   []*EntitySet
 	assocs []*Association
 	idx    atomic.Pointer[index]
+	frozen atomic.Bool
 }
 
 // NewSchema returns an empty client schema.
 func NewSchema() *Schema { return &Schema{types: map[string]*EntityType{}} }
 
+// Freeze makes the schema immutable: every mutator panics from then on.
+// Clone still works and returns an unfrozen schema.
+func (s *Schema) Freeze() { s.frozen.Store(true) }
+
+// Frozen reports whether Freeze was called.
+func (s *Schema) Frozen() bool { return s.frozen.Load() }
+
+func (s *Schema) mustNotBeFrozen(op, name string) {
+	if s.frozen.Load() {
+		panic(fmt.Sprintf("edm: %s(%q) on a frozen generation's client schema (%d types): clone it first", op, name, len(s.order)))
+	}
+}
+
 // AddType adds an entity type. The base type, when named, must already be
 // present.
 func (s *Schema) AddType(t EntityType) error {
+	s.mustNotBeFrozen("AddType", t.Name)
 	if t.Name == "" {
 		return fmt.Errorf("edm: entity type with empty name")
 	}
@@ -165,6 +183,7 @@ func (s *Schema) AddType(t EntityType) error {
 // as entity-set roots, and types referenced by associations cannot be
 // removed.
 func (s *Schema) RemoveType(name string) error {
+	s.mustNotBeFrozen("RemoveType", name)
 	if _, ok := s.types[name]; !ok {
 		return fmt.Errorf("edm: unknown entity type %q", name)
 	}
@@ -199,6 +218,7 @@ func (s *Schema) RemoveType(name string) error {
 // The type loses its own key and entity set; its attributes must not
 // collide with the new base hierarchy's.
 func (s *Schema) RerootType(typeName, newBase string) error {
+	s.mustNotBeFrozen("RerootType", typeName)
 	t, ok := s.types[typeName]
 	if !ok {
 		return fmt.Errorf("edm: unknown entity type %q", typeName)
@@ -234,6 +254,7 @@ func (s *Schema) RerootType(typeName, newBase string) error {
 
 // AddAttr declares an additional attribute on an existing type.
 func (s *Schema) AddAttr(typeName string, a Attribute) error {
+	s.mustNotBeFrozen("AddAttr", typeName)
 	t, ok := s.types[typeName]
 	if !ok {
 		return fmt.Errorf("edm: unknown entity type %q", typeName)
@@ -249,6 +270,7 @@ func (s *Schema) AddAttr(typeName string, a Attribute) error {
 // AddSet adds an entity set rooted at an existing type. A type can root at
 // most one set.
 func (s *Schema) AddSet(set EntitySet) error {
+	s.mustNotBeFrozen("AddSet", set.Name)
 	if set.Name == "" {
 		return fmt.Errorf("edm: entity set with empty name")
 	}
@@ -272,6 +294,7 @@ func (s *Schema) AddSet(set EntitySet) error {
 // AddAssociation adds an association type (and implicitly its association
 // set of the same name).
 func (s *Schema) AddAssociation(a Association) error {
+	s.mustNotBeFrozen("AddAssociation", a.Name)
 	if a.Name == "" {
 		return fmt.Errorf("edm: association with empty name")
 	}
@@ -294,6 +317,7 @@ func (s *Schema) AddAssociation(a Association) error {
 
 // RemoveAssociation deletes an association type.
 func (s *Schema) RemoveAssociation(name string) error {
+	s.mustNotBeFrozen("RemoveAssociation", name)
 	for i, a := range s.assocs {
 		if a.Name == name {
 			s.assocs = append(s.assocs[:i], s.assocs[i+1:]...)

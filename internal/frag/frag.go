@@ -13,6 +13,7 @@ package frag
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"github.com/ormkit/incmap/internal/cond"
 	"github.com/ormkit/incmap/internal/cqt"
@@ -126,10 +127,13 @@ type Mapping struct {
 	Frags  []*Fragment
 
 	// fragsShared marks the Frags backing array as possibly shared with
-	// another generation (set on both sides by Clone). In-place writes to
-	// the slice must go through ensureOwnedFrags first; appends are always
-	// safe because the clone's slice is capacity-clamped.
+	// another generation (set on both sides by Clone, and by Freeze). In-place
+	// writes to the slice must go through ensureOwnedFrags first; appends are
+	// always safe because the clone's slice is capacity-clamped.
 	fragsShared bool
+
+	frozen atomic.Bool
+	memo   memo
 }
 
 // Clone returns a copy-on-write generation of the mapping: the schemas
@@ -137,19 +141,26 @@ type Mapping struct {
 // fragment slice is shared, capacity-clamped so appends on the clone
 // reallocate. Fragments themselves are shared until a mutator replaces
 // one through MutableFrag. Cloning is O(model) only in cheap pointer
-// copies — no fragment, view tree, or schema entry is duplicated.
+// copies — no fragment, view tree, or schema entry is duplicated. The clone
+// is not frozen, and it inherits the receiver's memo as its base (see
+// Memo). Cloning a frozen generation writes nothing to it.
 func (m *Mapping) Clone() *Mapping {
-	m.fragsShared = true
-	return &Mapping{
+	if !m.Frozen() {
+		m.fragsShared = true
+	}
+	out := &Mapping{
 		Client:      m.Client.Clone(),
 		Store:       m.Store.Clone(),
 		Frags:       m.Frags[:len(m.Frags):len(m.Frags)],
 		fragsShared: true,
 	}
+	out.memo.base.Store(m.memo.inherit())
+	return out
 }
 
 // DeepClone returns a fully independent copy of the mapping, sharing no
-// mutable structure with the receiver (the pre-CoW Clone semantics).
+// mutable structure with the receiver (the pre-CoW Clone semantics). The
+// copy is not frozen and has no memo.
 func (m *Mapping) DeepClone() *Mapping {
 	out := &Mapping{Client: m.Client.DeepClone(), Store: m.Store.DeepClone()}
 	out.Frags = make([]*Fragment, len(m.Frags))
@@ -164,6 +175,7 @@ func (m *Mapping) DeepClone() *Mapping {
 // appliers must route every in-place fragment mutation through this.
 // Callers are responsible for using the returned pointer afterwards.
 func (m *Mapping) MutableFrag(f *Fragment) *Fragment {
+	m.mustNotBeFrozen("MutableFrag", f.ID)
 	nf := f.Clone()
 	m.ensureOwnedFrags()
 	for i, g := range m.Frags {
@@ -177,6 +189,7 @@ func (m *Mapping) MutableFrag(f *Fragment) *Fragment {
 
 // RemoveFrag deletes the fragment (by identity) from the slice.
 func (m *Mapping) RemoveFrag(f *Fragment) {
+	m.mustNotBeFrozen("RemoveFrag", f.ID)
 	m.ensureOwnedFrags()
 	for i, g := range m.Frags {
 		if g == f {
@@ -372,8 +385,12 @@ type Views struct {
 
 	// owned marks views this generation created or already copied, which
 	// are therefore safe to mutate in place. Clone clears it on both
-	// sides: after a snapshot, neither generation owns any shared view.
+	// sides, and Freeze on a frozen one: after a snapshot, neither
+	// generation owns any shared view.
 	owned map[*cqt.View]bool
+
+	frozen atomic.Bool
+	memo   memo
 }
 
 // NewViews returns an empty view set.
@@ -389,9 +406,13 @@ func NewViews() *Views {
 // maps are copied (so adds and deletes stay private) but every *cqt.View
 // is shared. A view is copied only when a mutator touches it, through
 // MutableQuery/MutableAssoc/MutableUpdate — O(change) work per SMO
-// instead of O(model).
+// instead of O(model). The clone is not frozen and inherits the
+// receiver's memo as its base; cloning a frozen view set writes nothing to
+// it.
 func (v *Views) Clone() *Views {
-	v.owned = nil
+	if !v.Frozen() {
+		v.owned = nil
+	}
 	out := &Views{
 		Query:  make(map[string]*cqt.View, len(v.Query)),
 		Assoc:  make(map[string]*cqt.View, len(v.Assoc)),
@@ -406,6 +427,7 @@ func (v *Views) Clone() *Views {
 	for k, view := range v.Update {
 		out.Update[k] = view
 	}
+	out.memo.base.Store(v.memo.inherit())
 	return out
 }
 
@@ -429,16 +451,19 @@ func (v *Views) DeepClone() *Views {
 // MutableQuery returns the query view for the named type, copied first if
 // it is still shared with another generation. Returns nil if absent.
 func (v *Views) MutableQuery(name string) *cqt.View {
+	v.mustNotBeFrozen("MutableQuery", name)
 	return v.mutable(v.Query, name)
 }
 
 // MutableAssoc is MutableQuery for association views.
 func (v *Views) MutableAssoc(name string) *cqt.View {
+	v.mustNotBeFrozen("MutableAssoc", name)
 	return v.mutable(v.Assoc, name)
 }
 
 // MutableUpdate is MutableQuery for update views.
 func (v *Views) MutableUpdate(name string) *cqt.View {
+	v.mustNotBeFrozen("MutableUpdate", name)
 	return v.mutable(v.Update, name)
 }
 
@@ -456,18 +481,21 @@ func (v *Views) mutable(m map[string]*cqt.View, name string) *cqt.View {
 // SetQuery installs a freshly built query view, marking it owned so later
 // in-place rewrites (adaptation, simplification) need not copy it again.
 func (v *Views) SetQuery(name string, view *cqt.View) {
+	v.mustNotBeFrozen("SetQuery", name)
 	v.Query[name] = view
 	v.own(view)
 }
 
 // SetAssoc is SetQuery for association views.
 func (v *Views) SetAssoc(name string, view *cqt.View) {
+	v.mustNotBeFrozen("SetAssoc", name)
 	v.Assoc[name] = view
 	v.own(view)
 }
 
 // SetUpdate is SetQuery for update views.
 func (v *Views) SetUpdate(name string, view *cqt.View) {
+	v.mustNotBeFrozen("SetUpdate", name)
 	v.Update[name] = view
 	v.own(view)
 }

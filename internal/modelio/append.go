@@ -3,8 +3,10 @@
 // the document forms (Document, ViewsDoc): the same field order, the same
 // omitted fields, nil slices and maps as null, map keys sorted, and strings
 // escaped as json.Marshal escapes them. No document tree is built and no
-// reflection runs, so an encode is one pass over the model. The doc-tree
-// encoders in the package tests are the byte-identity oracle.
+// reflection runs: an encode assembles the document from its entries'
+// records (records.go), encoding only the entries that have none. The
+// doc-tree encoders in the package tests are the byte-identity oracle;
+// AppendSnapshot's is json.Marshal itself.
 
 package modelio
 
@@ -17,52 +19,30 @@ import (
 
 	"github.com/ormkit/incmap/internal/cond"
 	"github.com/ormkit/incmap/internal/cqt"
+	"github.com/ormkit/incmap/internal/edm"
 	"github.com/ormkit/incmap/internal/frag"
+	"github.com/ormkit/incmap/internal/rel"
 )
 
-// AppendMapping appends the compact JSON document of m to dst. On error dst
-// is returned unchanged.
+// AppendMapping appends the compact JSON document of m to dst, assembled
+// from m's entry records (records.go). On error dst is returned unchanged.
 func AppendMapping(dst []byte, m *frag.Mapping) ([]byte, error) {
-	e := encoder{b: dst}
-	e.mapping(m)
-	if e.err != nil {
-		return dst, e.err
+	r, err := mappingRecordsOf(m)
+	if err != nil {
+		return dst, err
 	}
-	return e.b, nil
+	return r.appendTo(dst), nil
 }
 
 // AppendViews appends the compact structural JSON of a compiled view set to
-// dst. On error dst is returned unchanged.
+// dst, assembled from its entry records. On error dst is returned
+// unchanged.
 func AppendViews(dst []byte, v *frag.Views) ([]byte, error) {
-	e := encoder{b: dst}
-	e.raw("{")
-	first := true
-	for _, part := range [...]struct {
-		field string
-		views map[string]*cqt.View
-	}{{`"query":{`, v.Query}, {`"assoc":{`, v.Assoc}, {`"update":{`, v.Update}} {
-		if len(part.views) == 0 {
-			continue
-		}
-		if !first {
-			e.raw(",")
-		}
-		first = false
-		e.raw(part.field)
-		for i, name := range appendSortedKeys(nil, part.views) {
-			if i > 0 {
-				e.raw(",")
-			}
-			e.str(name)
-			e.raw(":")
-			e.view(part.views[name])
-			if e.err != nil {
-				return dst, fmt.Errorf("modelio: view %q: %w", name, e.err)
-			}
-		}
-		e.raw("}")
+	r, err := viewRecordsOf(v)
+	if err != nil {
+		return dst, err
 	}
-	return append(e.b, '}'), nil
+	return r.appendTo(dst), nil
 }
 
 // encoder appends JSON to b. The first error sticks; callers check it once
@@ -79,138 +59,102 @@ func (e *encoder) fail(err error) {
 	}
 }
 
-func (e *encoder) mapping(m *frag.Mapping) {
-	e.raw(`{"client":{"types":`)
-	types := m.Client.Types()
-	if len(types) == 0 {
-		e.raw("null")
-	} else {
-		for i, t := range types {
-			e.raw(listSep(i))
-			e.raw(`{"name":`)
-			e.str(t.Name)
-			e.optStr(`,"base":`, t.Base)
-			if t.Abstract {
-				e.raw(`,"abstract":true`)
-			}
-			if len(t.Attrs) > 0 {
-				e.raw(`,"attrs":`)
-				for j, a := range t.Attrs {
-					e.raw(listSep(j))
-					e.attr(a.Name, a.Type, a.Nullable, a.Enum)
-				}
-				e.raw("]")
-			}
-			if len(t.Key) > 0 {
-				e.raw(`,"key":`)
-				e.strs(t.Key)
-			}
-			e.raw("}")
+// The mapping document's entries. Each writes the one object the document
+// holds for its entry, which is the entry's record.
+
+func (e *encoder) entityType(t *edm.EntityType) {
+	e.raw(`{"name":`)
+	e.str(t.Name)
+	e.optStr(`,"base":`, t.Base)
+	if t.Abstract {
+		e.raw(`,"abstract":true`)
+	}
+	if len(t.Attrs) > 0 {
+		e.raw(`,"attrs":`)
+		for j, a := range t.Attrs {
+			e.raw(listSep(j))
+			e.attr(a.Name, a.Type, a.Nullable, a.Enum)
 		}
 		e.raw("]")
 	}
+	if len(t.Key) > 0 {
+		e.raw(`,"key":`)
+		e.strs(t.Key)
+	}
+	e.raw("}")
+}
 
-	e.raw(`,"sets":`)
-	sets := m.Client.Sets()
-	if len(sets) == 0 {
+func (e *encoder) entitySet(s *edm.EntitySet) {
+	e.raw(`{"name":`)
+	e.str(s.Name)
+	e.raw(`,"type":`)
+	e.str(s.Type)
+	e.raw("}")
+}
+
+func (e *encoder) association(a *edm.Association) {
+	e.raw(`{"name":`)
+	e.str(a.Name)
+	e.raw(`,"end1":{"type":`)
+	e.str(a.End1.Type)
+	e.raw(`,"mult":`)
+	e.str(multName(a.End1.Mult))
+	e.raw(`},"end2":{"type":`)
+	e.str(a.End2.Type)
+	e.raw(`,"mult":`)
+	e.str(multName(a.End2.Mult))
+	e.raw("}}")
+}
+
+func (e *encoder) table(t *rel.Table) {
+	e.raw(`{"name":`)
+	e.str(t.Name)
+	e.raw(`,"cols":`)
+	if len(t.Cols) == 0 {
 		e.raw("null")
 	} else {
-		for i, s := range sets {
-			e.raw(listSep(i))
-			e.raw(`{"name":`)
-			e.str(s.Name)
-			e.raw(`,"type":`)
-			e.str(s.Type)
-			e.raw("}")
+		for j, c := range t.Cols {
+			e.raw(listSep(j))
+			e.attr(c.Name, c.Type, c.Nullable, c.Enum)
 		}
 		e.raw("]")
 	}
-
-	if assocs := m.Client.Associations(); len(assocs) > 0 {
-		e.raw(`,"associations":`)
-		for i, a := range assocs {
-			e.raw(listSep(i))
+	e.raw(`,"key":`)
+	e.strs(t.Key)
+	if len(t.FKs) > 0 {
+		e.raw(`,"fks":`)
+		for j, fk := range t.FKs {
+			e.raw(listSep(j))
 			e.raw(`{"name":`)
-			e.str(a.Name)
-			e.raw(`,"end1":{"type":`)
-			e.str(a.End1.Type)
-			e.raw(`,"mult":`)
-			e.str(multName(a.End1.Mult))
-			e.raw(`},"end2":{"type":`)
-			e.str(a.End2.Type)
-			e.raw(`,"mult":`)
-			e.str(multName(a.End2.Mult))
-			e.raw("}}")
-		}
-		e.raw("]")
-	}
-
-	e.raw(`},"store":{"tables":`)
-	tables := m.Store.Tables()
-	if len(tables) == 0 {
-		e.raw("null")
-	} else {
-		for i, t := range tables {
-			e.raw(listSep(i))
-			e.raw(`{"name":`)
-			e.str(t.Name)
+			e.str(fk.Name)
 			e.raw(`,"cols":`)
-			if len(t.Cols) == 0 {
-				e.raw("null")
-			} else {
-				for j, c := range t.Cols {
-					e.raw(listSep(j))
-					e.attr(c.Name, c.Type, c.Nullable, c.Enum)
-				}
-				e.raw("]")
-			}
-			e.raw(`,"key":`)
-			e.strs(t.Key)
-			if len(t.FKs) > 0 {
-				e.raw(`,"fks":`)
-				for j, fk := range t.FKs {
-					e.raw(listSep(j))
-					e.raw(`{"name":`)
-					e.str(fk.Name)
-					e.raw(`,"cols":`)
-					e.strs(fk.Cols)
-					e.raw(`,"refTable":`)
-					e.str(fk.RefTable)
-					e.raw(`,"refCols":`)
-					e.strs(fk.RefCols)
-					e.raw("}")
-				}
-				e.raw("]")
-			}
+			e.strs(fk.Cols)
+			e.raw(`,"refTable":`)
+			e.str(fk.RefTable)
+			e.raw(`,"refCols":`)
+			e.strs(fk.RefCols)
 			e.raw("}")
 		}
 		e.raw("]")
 	}
+	e.raw("}")
+}
 
-	e.raw(`},"fragments":`)
-	if len(m.Frags) == 0 {
-		e.raw("null")
-	} else {
-		for i, f := range m.Frags {
-			e.raw(listSep(i))
-			e.raw(`{"id":`)
-			e.str(f.ID)
-			e.optStr(`,"set":`, f.Set)
-			e.optStr(`,"assoc":`, f.Assoc)
-			e.raw(`,"clientCond":`)
-			e.str(f.ClientCond.String())
-			e.raw(`,"attrs":`)
-			e.strs(f.Attrs)
-			e.raw(`,"table":`)
-			e.str(f.Table)
-			e.raw(`,"storeCond":`)
-			e.str(f.StoreCond.String())
-			e.raw(`,"colOf":`)
-			e.strMap(f.ColOf)
-			e.raw("}")
-		}
-		e.raw("]")
-	}
+func (e *encoder) fragment(f *frag.Fragment) {
+	e.raw(`{"id":`)
+	e.str(f.ID)
+	e.optStr(`,"set":`, f.Set)
+	e.optStr(`,"assoc":`, f.Assoc)
+	e.raw(`,"clientCond":`)
+	e.str(f.ClientCond.String())
+	e.raw(`,"attrs":`)
+	e.strs(f.Attrs)
+	e.raw(`,"table":`)
+	e.str(f.Table)
+	e.raw(`,"storeCond":`)
+	e.str(f.StoreCond.String())
+	e.raw(`,"colOf":`)
+	e.strMap(f.ColOf)
 	e.raw("}")
 }
 
@@ -582,4 +526,92 @@ func appendString(dst []byte, s string) []byte {
 	}
 	dst = append(dst, s[start:]...)
 	return append(dst, '"')
+}
+
+// AppendSnapshot appends the JSON of a SatCache snapshot to dst: the bytes
+// json.Marshal writes for it, which DecodeSnapshot reads back. Verdict
+// keys are sorted; empty fields are omitted as the struct tags say.
+func AppendSnapshot(dst []byte, s *cond.SatSnapshot) []byte {
+	if s == nil {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, '{')
+	if len(s.Entries) > 0 {
+		dst = append(dst, `"entries":{`...)
+		for i, k := range appendSortedKeys(make([]string, 0, len(s.Entries)), s.Entries) {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendString(dst, k)
+			dst = append(dst, ':')
+			dst = strconv.AppendBool(dst, s.Entries[k])
+		}
+		dst = append(dst, '}')
+	}
+	if len(s.Scopes) > 0 {
+		if len(s.Entries) > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `"scopes":`...)
+		for i, sc := range s.Scopes {
+			dst = append(dst, listSep(i)...)
+			dst = append(dst, `{"key":`...)
+			dst = appendString(dst, sc.Key)
+			dst = append(dst, `,"lemmas":`...)
+			dst = appendLemmas(dst, sc.Lemmas)
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	return append(dst, '}')
+}
+
+func appendLemmas(dst []byte, lemmas []cond.LemmaSnapshot) []byte {
+	if lemmas == nil {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, '[')
+	for i, lm := range lemmas {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"lits":`...)
+		if lm.Lits == nil {
+			dst = append(dst, "null"...)
+		} else {
+			dst = append(dst, '[')
+			for j, l := range lm.Lits {
+				if j > 0 {
+					dst = append(dst, ',')
+				}
+				dst = appendLemmaLit(dst, l)
+			}
+			dst = append(dst, ']')
+		}
+		dst = append(dst, '}')
+	}
+	return append(dst, ']')
+}
+
+func appendLemmaLit(dst []byte, l cond.LemmaLitSnapshot) []byte {
+	sep := byte('{')
+	if l.Gate != "" {
+		dst = append(dst, sep, '"', 'g', '"', ':')
+		dst = appendString(dst, l.Gate)
+		sep = ','
+	}
+	if l.Atom != 0 {
+		dst = append(dst, sep, '"', 'a', '"', ':')
+		dst = strconv.AppendInt(dst, int64(l.Atom), 10)
+		sep = ','
+	}
+	if l.Neg {
+		dst = append(dst, sep)
+		dst = append(dst, `"n":true`...)
+		sep = ','
+	}
+	if sep == '{' {
+		dst = append(dst, '{')
+	}
+	return append(dst, '}')
 }

@@ -13,6 +13,7 @@ import (
 	"github.com/ormkit/incmap/internal/cond"
 	"github.com/ormkit/incmap/internal/core"
 	"github.com/ormkit/incmap/internal/cqt"
+	"github.com/ormkit/incmap/internal/difftest"
 	"github.com/ormkit/incmap/internal/edm"
 	"github.com/ormkit/incmap/internal/experiments"
 	"github.com/ormkit/incmap/internal/frag"
@@ -208,7 +209,9 @@ func TestAppendMatchesOracleOnEdgeShapes(t *testing.T) {
 // suite operations on the chain and customer models and checks the
 // encoders and decoders on every generation they produce. Between them the
 // generations carry every shape the encoders write; the test checks each
-// shape occurred.
+// shape occurred. The base and every generation are frozen, as a session
+// freezes them, so each generation encodes from the base's entry records,
+// and the memo oracle (difftest.CheckMemo) holds it to its deep copy.
 func TestAppendMatchesOracleOnSuiteGenerations(t *testing.T) {
 	entity := func(i int) string { return fmt.Sprintf("Entity%d", i) }
 	mid := chainSize / 2
@@ -236,6 +239,11 @@ func TestAppendMatchesOracleOnSuiteGenerations(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: compile: %v", tc.name, err)
 		}
+		base.Freeze()
+		views.Freeze()
+		if err := difftest.CheckMemo(base, views); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
 		generations := 0
 		for _, op := range experiments.Suite(tc.targets) {
 			m := base.Clone()
@@ -247,6 +255,11 @@ func TestAppendMatchesOracleOnSuiteGenerations(t *testing.T) {
 			if err != nil {
 				t.Logf("%s %s rejected, no generation: %v", tc.name, op.Name, err)
 				continue
+			}
+			m2.Freeze()
+			v2.Freeze()
+			if err := difftest.CheckMemo(m2, v2); err != nil {
+				t.Fatalf("%s %s: %v", tc.name, op.Name, err)
 			}
 			mb, vb := checkEncoders(t, tc.name+" "+op.Name, m2, v2)
 			all = append(all, mb, vb)
@@ -381,6 +394,44 @@ func jsonKey(s string) string {
 // every string was valid UTF-8. The one exception is a name and an enum
 // value that differ only in invalid UTF-8: as keys of one case's attribute
 // map they decode alike, and the views decoder must reject the repeat.
+// TestAppendSnapshotMatchesMarshal holds AppendSnapshot to json.Marshal on
+// a chain-40 compile's SatCache snapshot and on edge shapes: empty and nil
+// fields, nil lemmas and literals, gate and atom literals, and keys that
+// need escaping.
+func TestAppendSnapshotMatchesMarshal(t *testing.T) {
+	m, err := workload.ChainE(chainSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := cond.NewSatCache()
+	if _, err := (&compiler.Compiler{Opts: compiler.Options{SatCache: c}}).Compile(m); err != nil {
+		t.Fatal(err)
+	}
+	compiled := c.Export()
+	if len(compiled.Entries) == 0 || len(compiled.Scopes) == 0 {
+		t.Fatalf("chain compile left %d verdicts and %d lemma scopes; want both", len(compiled.Entries), len(compiled.Scopes))
+	}
+	lits := []cond.LemmaLitSnapshot{{}, {Gate: "g<1>&\u2028"}, {Atom: 3}, {Atom: -2147483648, Neg: true}, {Gate: "x", Atom: 1, Neg: true}, {Neg: true}, {Gate: "\xff\x00"}}
+	for i, snap := range []*cond.SatSnapshot{
+		compiled,
+		nil,
+		{},
+		{Entries: map[string]bool{}, Scopes: []cond.ScopeSnapshot{}},
+		{Entries: map[string]bool{"b": false, "a": true, "": true, "<k>&\"\u2029": false, "é\xfe": true}},
+		{Scopes: []cond.ScopeSnapshot{{}, {Key: "k", Lemmas: []cond.LemmaSnapshot{}}, {Key: "l", Lemmas: []cond.LemmaSnapshot{{}, {Lits: []cond.LemmaLitSnapshot{}}, {Lits: lits}}}}},
+		{Entries: map[string]bool{"z": true}, Scopes: []cond.ScopeSnapshot{{Key: "s", Lemmas: []cond.LemmaSnapshot{{Lits: lits[1:3]}}}}},
+	} {
+		want, err := modelio.OracleEncodeSnapshot(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBytes(t, fmt.Sprintf("snapshot %d", i), modelio.AppendSnapshot(nil, snap), want)
+		if got := modelio.AppendSnapshot([]byte("dst"), snap); string(got[:3]) != "dst" {
+			t.Fatalf("snapshot %d: AppendSnapshot dropped dst", i)
+		}
+	}
+}
+
 func FuzzEncoders(f *testing.F) {
 	f.Add("Entity", "M", "F", int64(7), 1.5, true)
 	f.Add("a<b>&c", "\u2028\u2029", "\b\f\n\r\t\x00\x1f\x7f", int64(-1<<63), 1e-300, false)
@@ -390,6 +441,22 @@ func FuzzEncoders(f *testing.F) {
 	f.Add("\xff", "\ufffd", "x", int64(1), 2.5, true)
 	f.Fuzz(func(t *testing.T, name, enum, lit string, i int64, x float64, b bool) {
 		m, v := fuzzModel(t, name, enum, lit, i, x, b)
+
+		snap := &cond.SatSnapshot{
+			Entries: map[string]bool{name: b, enum: !b},
+			Scopes: []cond.ScopeSnapshot{
+				{Key: lit, Lemmas: []cond.LemmaSnapshot{
+					{Lits: []cond.LemmaLitSnapshot{{Gate: name, Atom: int32(i), Neg: b}, {Atom: int32(i >> 32)}, {}}},
+					{},
+				}},
+				{Key: enum},
+			},
+		}
+		wantS, err := modelio.OracleEncodeSnapshot(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBytes(t, "AppendSnapshot", modelio.AppendSnapshot(nil, snap), wantS)
 
 		doc, oerr := modelio.ToDocument(m)
 		var want []byte

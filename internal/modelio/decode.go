@@ -11,8 +11,10 @@
 // decoders are stricter in only these ways: a key must equal its field name
 // exactly (encoding/json folds case); no key repeats within an object,
 // map-shaped objects included (encoding/json keeps the last); nothing but
-// whitespace may follow the document; and a join's "on" pair holds exactly
-// two strings (encoding/json truncates or zero-fills a [2]string).
+// whitespace may follow the document; a join's "on" pair holds exactly two
+// strings (encoding/json truncates or zero-fills a [2]string); and a query
+// or condition node that does not build fails the decode even in a field
+// its op ignores (encoding/json's document form never looked there).
 
 package modelio
 
@@ -20,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"unicode"
 	"unicode/utf16"
@@ -171,6 +174,8 @@ type decoder struct {
 	err   error
 	key   []byte // the key of the member being read
 	buf   []byte // the last string read that needed unescaping
+	// part and name locate the view being read, for its errors.
+	part, name string
 }
 
 // fail records err as the decode's error unless one is recorded already;
@@ -1000,11 +1005,13 @@ func (d *decoder) fragments() []*frag.Fragment {
 }
 
 // Views documents. A query or condition node reads every field, as the
-// document form did, but uses only those its op names; a field it ignores
-// may hold a node that does not build. So the node readers return the
-// error of building their node alongside the decode's sticky syntax and
-// shape error, and a parent returns a child's error only if it uses the
-// child.
+// document form did, but uses only those its op names. A node that does
+// not build fails the decode wherever it sits, in a field its op ignores
+// too (the fifth tightening), so the node readers fail the decode's sticky
+// error directly. A node in an ignored field is checked but not built:
+// when its parent's op is known before the field, as in every document
+// the encoders write, keep is false for it and its conditions are not
+// interned.
 
 // views reads a compiled view set (ViewsDoc); null is an empty set.
 func (d *decoder) views() *frag.Views {
@@ -1034,66 +1041,53 @@ func (d *decoder) viewMap(part string, views map[string]*cqt.View, set func(stri
 		return
 	}
 	for n := 0; d.member(&n); {
-		name := newKey(d, views)
-		v, err := d.view()
+		d.part, d.name = part, newKey(d, views)
+		v := d.view()
 		if d.err != nil {
 			return
 		}
-		if err != nil {
-			d.fail(fmt.Errorf("modelio: %s view %q: %w", part, name, err))
-			return
-		}
-		set(name, v)
+		set(d.name, v)
 	}
 }
 
+// invalid fails the decode at a node of the view being read that does not
+// build.
+func (d *decoder) invalid(err error) {
+	d.fail(fmt.Errorf("modelio: %s view %q: %w", d.part, d.name, err))
+}
+
 // view reads one view (ViewDoc).
-func (d *decoder) view() (*cqt.View, error) {
-	if !d.object() {
-		return nil, errors.New("missing query tree")
-	}
-	var (
-		seen       uint32
-		v          cqt.View
-		qErr, cErr error
-	)
-	for n := 0; d.member(&n); {
-		switch d.field(viewFields, &seen) {
-		case "q":
-			v.Q, qErr = d.query()
-		case "cases":
-			if d.array() {
-				for n := 0; d.element(&n); {
-					c, err := d.viewCase()
-					if cErr == nil {
-						cErr = err
+func (d *decoder) view() *cqt.View {
+	var v cqt.View
+	if d.object() {
+		var seen uint32
+		for n := 0; d.member(&n); {
+			switch d.field(viewFields, &seen) {
+			case "q":
+				v.Q = d.query(true)
+			case "cases":
+				if d.array() {
+					for n := 0; d.element(&n); {
+						v.Cases = append(v.Cases, d.viewCase())
 					}
-					v.Cases = append(v.Cases, c)
 				}
 			}
 		}
 	}
-	switch {
-	case d.err != nil:
-		return nil, nil
-	case qErr != nil:
-		return nil, qErr
-	case v.Q == nil:
-		return nil, errors.New("missing query tree")
-	case cErr != nil:
-		return nil, cErr
+	if v.Q == nil {
+		d.invalid(errors.New("missing query tree"))
 	}
-	return &v, nil
+	return &v
 }
 
 // viewCase reads one constructor branch (CaseDoc).
-func (d *decoder) viewCase() (c cqt.Case, err error) {
+func (d *decoder) viewCase() (c cqt.Case) {
 	if d.object() {
 		var seen uint32
 		for n := 0; d.member(&n); {
 			switch d.field(caseFields, &seen) {
 			case "when":
-				c.When, err = d.cond()
+				c.When = d.cond(true)
 			case "type":
 				c.Type = d.str()
 			case "attrs":
@@ -1101,32 +1095,31 @@ func (d *decoder) viewCase() (c cqt.Case, err error) {
 			}
 		}
 	}
-	if err == nil && c.When == nil {
-		err = errMissingCond
+	if c.When == nil {
+		d.invalid(errMissingCond)
 	}
 	if c.Attrs == nil {
 		c.Attrs = map[string]string{}
 	}
-	return c, err
+	return c
 }
 
-// query reads a query tree node (QDoc) and builds it.
-func (d *decoder) query() (cqt.Expr, error) {
+// query reads a query tree node (QDoc) and builds it. A null node is nil.
+func (d *decoder) query(keep bool) cqt.Expr {
 	if !d.object() {
-		return nil, nil
+		return nil
 	}
 	var (
-		seen              uint32
-		op, name, kind    string
-		in, l, r          cqt.Expr
-		where             cond.Expr
-		cols              []cqt.ProjCol
-		on                [][2]string
-		inputs            []cqt.Expr
-		inErr, lErr, rErr error
-		whereErr, colsErr error
-		inputsErr         error
+		seen           uint32
+		op, name, kind string
+		in, l, r       cqt.Expr
+		where          cond.Expr
+		cols           []cqt.ProjCol
+		on             [][2]string
+		inputs         []cqt.Expr
 	)
+	// A node in a field its op, when read first, ignores is not kept.
+	uses := func(ops ...string) bool { return keep && (op == "" || slices.Contains(ops, op)) }
 	for n := 0; d.member(&n); {
 		switch d.field(queryFields, &seen) {
 		case "op":
@@ -1134,95 +1127,84 @@ func (d *decoder) query() (cqt.Expr, error) {
 		case "name":
 			name = d.str()
 		case "in":
-			in, inErr = d.query()
+			in = d.query(uses("select", "project"))
 		case "cond":
-			where, whereErr = d.cond()
+			where = d.cond(uses("select"))
 		case "cols":
-			cols, colsErr = d.projCols()
+			cols = d.projCols()
 		case "kind":
 			kind = d.oneOf(joinKinds)
 		case "l":
-			l, lErr = d.query()
+			l = d.query(uses("join"))
 		case "r":
-			r, rErr = d.query()
+			r = d.query(uses("join"))
 		case "on":
 			on = d.joinOn()
 		case "inputs":
-			inputs, inputsErr = d.queries()
+			inputs = d.queries(uses("unionall"))
 		}
 	}
 	if d.err != nil {
-		return nil, nil
+		return nil
 	}
 	switch op {
 	case "scantable":
-		return cqt.ScanTable{Table: name}, nil
+		return cqt.ScanTable{Table: name}
 	case "scanset":
-		return cqt.ScanSet{Set: name}, nil
+		return cqt.ScanSet{Set: name}
 	case "scanassoc":
-		return cqt.ScanAssoc{Assoc: name}, nil
+		return cqt.ScanAssoc{Assoc: name}
 	case "select":
-		if err := errors.Join(needQuery(in, inErr), needCond(where, whereErr)); err != nil {
-			return nil, err
+		if in != nil && where != nil {
+			return cqt.Select{In: in, Cond: where}
 		}
-		return cqt.Select{In: in, Cond: where}, nil
+		if in != nil {
+			d.invalid(errMissingCond)
+			return nil
+		}
 	case "project":
-		if err := errors.Join(needQuery(in, inErr), colsErr); err != nil {
-			return nil, err
+		if in != nil {
+			if cols == nil {
+				cols = []cqt.ProjCol{}
+			}
+			return cqt.Project{In: in, Cols: cols}
 		}
-		if cols == nil {
-			cols = []cqt.ProjCol{}
-		}
-		return cqt.Project{In: in, Cols: cols}, nil
 	case "join":
 		jk, err := joinKindOf(kind)
-		if err := errors.Join(err, needQuery(l, lErr), needQuery(r, rErr)); err != nil {
-			return nil, err
+		if err != nil {
+			d.invalid(err)
+			return nil
 		}
-		return cqt.Join{Kind: jk, L: l, R: r, On: on}, nil
+		if l != nil && r != nil {
+			return cqt.Join{Kind: jk, L: l, R: r, On: on}
+		}
 	case "unionall":
-		if inputsErr != nil {
-			return nil, inputsErr
-		}
 		if inputs == nil {
 			inputs = []cqt.Expr{}
 		}
-		return cqt.UnionAll{Inputs: inputs}, nil
+		return cqt.UnionAll{Inputs: inputs}
+	default:
+		d.invalid(fmt.Errorf("unknown query op %q", op))
+		return nil
 	}
-	return nil, fmt.Errorf("unknown query op %q", op)
+	d.invalid(errMissingQuery)
+	return nil
 }
 
-// needQuery returns the error of a child query node its parent uses.
-func needQuery(x cqt.Expr, err error) error {
-	if err == nil && x == nil {
-		return errMissingQuery
-	}
-	return err
-}
-
-// needCond returns the error of a condition node its parent uses.
-func needCond(x cond.Expr, err error) error {
-	if err == nil && x == nil {
-		return errMissingCond
-	}
-	return err
-}
-
-// queries reads a union's inputs.
-func (d *decoder) queries() ([]cqt.Expr, error) {
+// queries reads a union's inputs; every one must be a node.
+func (d *decoder) queries(keep bool) []cqt.Expr {
 	if !d.array() {
-		return nil, nil
+		return nil
 	}
 	out := []cqt.Expr{}
-	var first error
 	for n := 0; d.element(&n); {
-		x, err := d.query()
-		if err = needQuery(x, err); first == nil {
-			first = err
+		x := d.query(keep)
+		if x == nil {
+			d.invalid(errMissingQuery)
 		}
 		out = append(out, x)
 	}
-	return out, first
+	return out
 }
 
 // joinOn reads a join's column pairs; a pair must hold exactly two
@@ -1253,16 +1235,13 @@ func (d *decoder) joinOn() [][2]string {
 }
 
 // projCols reads a projection's output columns.
-func (d *decoder) projCols() ([]cqt.ProjCol, error) {
+func (d *decoder) projCols() []cqt.ProjCol {
 	if !d.array() {
-		return nil, nil
+		return nil
 	}
 	out := []cqt.ProjCol{}
-	var first error
 	for n := 0; d.element(&n); {
 		var pc cqt.ProjCol
-		var lit *cqt.Literal
-		var err error
 		if d.object() {
 			var seen uint32
 			for n := 0; d.member(&n); {
@@ -1272,26 +1251,23 @@ func (d *decoder) projCols() ([]cqt.ProjCol, error) {
 				case "src":
 					pc.Src = d.str()
 				case "lit":
-					lit, err = d.constant()
+					pc.Lit = d.constant()
 				}
 			}
 		}
-		if lit != nil {
-			pc.Lit, pc.Src = lit, ""
-		}
-		if first == nil {
-			first = err
+		if pc.Lit != nil {
+			pc.Src = ""
 		}
 		out = append(out, pc)
 	}
-	return out, first
+	return out
 }
 
 // constant reads a constant projection source (LiteralDoc); null is none.
 // The kind is checked even for a typed NULL, whose value is not read.
-func (d *decoder) constant() (*cqt.Literal, error) {
+func (d *decoder) constant() *cqt.Literal {
 	if !d.object() {
-		return nil, nil
+		return nil
 	}
 	var (
 		seen uint32
@@ -1310,29 +1286,33 @@ func (d *decoder) constant() (*cqt.Literal, error) {
 		}
 	}
 	if d.err != nil {
-		return nil, nil
+		return nil
 	}
 	k, err := kindOf(kind)
 	if err != nil {
-		return nil, err
+		d.invalid(err)
+		return nil
 	}
 	if null {
-		return cqt.NullOf(k), nil
+		return cqt.NullOf(k)
 	}
 	v, err := d.value(k, val)
 	if err != nil {
-		return nil, err
+		d.invalid(err)
+		return nil
 	}
-	return cqt.Const(v), nil
+	return cqt.Const(v)
 }
 
 // cond reads a condition node (CondDoc) and rebuilds it through the cond
 // constructors: the result is interned, so == works against freshly
 // compiled expressions, and its cache keys match the ones the original
-// process computed.
-func (d *decoder) cond() (cond.Expr, error) {
+// process computed. Unless keep is set, a composite node is checked but
+// not built: it reads as True, and nothing is interned. A null node is
+// nil.
+func (d *decoder) cond(keep bool) cond.Expr {
 	if !d.object() {
-		return nil, nil
+		return nil
 	}
 	var (
 		seen                        uint32
@@ -1340,7 +1320,6 @@ func (d *decoder) cond() (cond.Expr, error) {
 		only                        bool
 		val                         span
 		kids                        []cond.Expr
-		kidsErr                     error
 	)
 	for n := 0; d.member(&n); {
 		switch d.field(condFields, &seen) {
@@ -1361,70 +1340,66 @@ func (d *decoder) cond() (cond.Expr, error) {
 		case "val":
 			val = d.raw()
 		case "kids":
-			kids, kidsErr = d.conds()
+			kids = d.conds(keep && (op == "" || op == "not" || op == "and" || op == "or"))
 		}
 	}
 	if d.err != nil {
-		return nil, nil
+		return nil
 	}
 	switch op {
 	case "true":
-		return cond.True{}, nil
+		return cond.True{}
 	case "false":
-		return cond.False{}, nil
+		return cond.False{}
 	case "typeis":
-		return cond.TypeIs{Var: v, Type: typ, Only: only}, nil
+		return cond.TypeIs{Var: v, Type: typ, Only: only}
 	case "null":
-		return cond.Null{Attr: attr}, nil
+		return cond.Null{Attr: attr}
 	case "cmp":
-		o, err := cmpOpOf(cmp)
-		if err != nil {
-			return nil, err
-		}
-		k, err := kindOf(kind)
-		if err != nil {
-			return nil, err
-		}
+		o, oerr := cmpOpOf(cmp)
+		k, kerr := kindOf(kind)
 		x, err := d.value(k, val)
-		if err != nil {
-			return nil, err
+		if err := errors.Join(oerr, kerr, err); err != nil {
+			d.invalid(err)
+			return nil
 		}
-		return cond.Cmp{Attr: attr, Op: o, Val: x}, nil
+		return cond.Cmp{Attr: attr, Op: o, Val: x}
 	case "not":
 		if len(kids) != 1 {
-			return nil, fmt.Errorf("not node wants 1 child, has %d", len(kids))
+			d.invalid(fmt.Errorf("not node wants 1 child, has %d", len(kids)))
+			return nil
 		}
-		if kidsErr != nil {
-			return nil, kidsErr
+		if !keep {
+			return cond.True{}
 		}
-		return cond.NewNot(kids[0]), nil
+		return cond.NewNot(kids[0])
 	case "and", "or":
-		if kidsErr != nil {
-			return nil, kidsErr
+		switch {
+		case !keep:
+			return cond.True{}
+		case op == "and":
+			return cond.NewAnd(kids...)
 		}
-		if op == "and" {
-			return cond.NewAnd(kids...), nil
-		}
-		return cond.NewOr(kids...), nil
+		return cond.NewOr(kids...)
 	}
-	return nil, fmt.Errorf("unknown condition op %q", op)
+	d.invalid(fmt.Errorf("unknown condition op %q", op))
+	return nil
 }
 
-// conds reads a node's children.
-func (d *decoder) conds() ([]cond.Expr, error) {
+// conds reads a node's children; every one must be a node.
+func (d *decoder) conds(keep bool) []cond.Expr {
 	if !d.array() {
-		return nil, nil
+		return nil
 	}
 	var out []cond.Expr
-	var first error
 	for n := 0; d.element(&n); {
-		x, err := d.cond()
-		if err = needCond(x, err); first == nil {
-			first = err
+		x := d.cond(keep)
+		if x == nil {
+			d.invalid(errMissingCond)
 		}
 		out = append(out, x)
 	}
-	return out, first
+	return out
 }
 
 // SatCache snapshots.

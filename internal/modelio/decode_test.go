@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -213,13 +214,14 @@ const edgeMapping = `{
 
 // edgeViews is a views document covering every query and condition node,
 // every literal kind, typed NULLs, outer joins, union-all, null for every
-// field, fields an op ignores (holding nodes that would not build) and
-// every string escape.
+// field, fields an op ignores (holding nodes that build, which the decoder
+// checks but does not keep, and values it does not read) and every string
+// escape.
 const edgeViews = `{
   "query": {
     "V\/A": {"q": {"op": "project", "in": {"op": "select",
         "in": {"op": "join", "kind": "full",
-          "l": {"op": "scantable", "n\u0061me": "T", "in": {"op": "warp"}, "cond": null, "cols": null, "kind": "sideways", "l": null, "r": null, "on": null, "inputs": null},
+          "l": {"op": "scantable", "n\u0061me": "T", "in": {"op": "scanset", "name": "X", "cond": {"op": "or", "kids": [{"op": "true"}]}}, "cond": null, "cols": null, "kind": "sideways", "l": null, "r": null, "on": null, "inputs": null},
           "r": {"op": "unionall", "inputs": [{"op": "scanset", "name": "S\"\\\b\f\n\r\t"}, {"op": "scanassoc", "name": "😀\ud800"}]},
           "on": [["a", "b"], null, [null, "c"]]},
         "cond": {"op": "and", "kids": [
@@ -230,7 +232,7 @@ const edgeViews = `{
           {"op": "cmp", "attr": "n", "cmp": "<=", "kind": "int", "val": null},
           {"op": "not", "kids": [{"op": "null", "attr": "s"}]},
           {"op": "or", "kids": [{"op": "typeis", "var": "x", "type": "T", "only": true}, {"op": "typeis", "type": "U", "only": null}, {"op": "false"}]},
-          {"op": "typeis", "type": "W", "kids": [{"op": "warp"}], "val": {"any": ["json", 1]}},
+          {"op": "typeis", "type": "W", "kids": [{"op": "and", "kids": [{"op": "false"}]}], "val": {"any": ["json", 1]}},
           {"\u006fp": "true", "var": null, "type": null, "attr": null, "cmp": null, "kind": null}
         ]}},
       "cols": [
@@ -428,6 +430,12 @@ func TestDecodeTightenings(t *testing.T) {
 		{"repeated view name", "views", `{"query":{"V":{"q":` + scan + `},"V":{"q":` + scan + `}}}`},
 		{"repeated case attrs key", "views", view(scan + `,"cases":[{"when":{"op":"true"},"type":"T","attrs":{"a":"x","a":"y"}}]`)},
 		{"repeated key in an ignored field", "views", view(`{"op":"scanset","name":"S","in":{"op":"x","op":"y"}}`)},
+		{"unbuildable node in an ignored field", "views", view(`{"op":"scanset","name":"S","in":{"op":"warp"}}`)},
+		{"unbuildable node in an ignored field", "views", view(`{"op":"scantable","name":"T","cond":{"op":"not"}}`)},
+		{"unbuildable node in an ignored field", "views", view(`{"op":"scanassoc","name":"A","l":{"op":"select","in":{"op":"scanset","name":"S"}}}`)},
+		{"unbuildable node in an ignored field", "views", view(`{"op":"select","in":` + scan + `,"cond":{"op":"true"},"inputs":[null]}`)},
+		{"unbuildable node in an ignored field", "views", view(`{"op":"select","in":` + scan + `,"cond":{"op":"null","attr":"a","kids":[{"op":"cmp","cmp":"=","kind":"int","val":"7"}]}}`)},
+		{"unbuildable node in an ignored field", "views", view(`{"op":"unionall","cols":[{"as":"x","lit":{"kind":"date"}}]}`)},
 		{"repeated entries key", "snapshot", `{"entries":{"k":true,"k":false}}`},
 		{"repeated key", "snapshot", `{"scopes":[],"scopes":[]}`},
 		{"trailing bytes", "mapping", `{}]]] not json`},
@@ -444,6 +452,9 @@ func TestDecodeTightenings(t *testing.T) {
 			}
 			if err := oracleKind(tc.kind, []byte(tc.doc)); err != nil {
 				t.Errorf("oracle rejected %s: %v; not a tightening", tc.doc, err)
+			}
+			if !tightened([]byte(tc.doc)) {
+				t.Errorf("FuzzDecoders' judge does not see the tightening in %s", tc.doc)
 			}
 		})
 	}
@@ -591,8 +602,9 @@ var allFields = strings.Fields(`client store fragments types sets associations n
 // tightened reports whether an oracle-accepted document holds one of the
 // decoders' tightenings, judged through encoding/json alone: anything but
 // whitespace after the first value, a key repeated within an object, a
-// key that equals a field name only when case is folded, or a join pair
-// of other than two elements. Map keys count too, so a map key that folds
+// key that equals a field name only when case is folded, a join pair of
+// other than two elements, or a node field its op ignores holding anything
+// but null or an empty list. Map keys count too, so a map key that folds
 // to a field name is a (false) positive; that only skips the check.
 func tightened(doc []byte) bool {
 	dec := json.NewDecoder(bytes.NewReader(doc))
@@ -623,6 +635,10 @@ func tightened(doc []byte) bool {
 					return true
 				}
 			}
+			var members map[string]json.RawMessage
+			if json.Unmarshal(raw, &members) == nil && ignoresNode(members) {
+				return true
+			}
 		case '[':
 			var elems []json.RawMessage
 			json.Unmarshal(raw, &elems)
@@ -641,6 +657,35 @@ func tightened(doc []byte) bool {
 	return walk(first, "")
 }
 
+// nodeFieldUsers maps each field of a query or condition node that holds
+// nodes to the ops that use it.
+var nodeFieldUsers = map[string][]string{
+	"in": {"select", "project"}, "cond": {"select"}, "cols": {"project"},
+	"l": {"join"}, "r": {"join"}, "inputs": {"unionall"}, "kids": {"not", "and", "or"},
+}
+
+// ignoresNode reports whether an object, read as a query or condition
+// node, has a node field its op ignores that holds anything but null or an
+// empty list: the decoders check that content builds, the oracle never
+// looks at it.
+func ignoresNode(members map[string]json.RawMessage) bool {
+	var op string
+	if json.Unmarshal(members["op"], &op) != nil {
+		return false
+	}
+	for field, users := range nodeFieldUsers {
+		raw, ok := members[field]
+		if !ok || slices.Contains(users, op) {
+			continue
+		}
+		var list []json.RawMessage
+		if json.Unmarshal(raw, &list) != nil || len(list) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // folded reports whether k matches a field name only under case folding.
 func folded(k string) bool {
 	for _, f := range allFields {
@@ -654,4 +699,25 @@ func folded(k string) bool {
 		}
 	}
 	return false
+}
+
+// TestDecodeDoesNotInternIgnoredNodes checks that a condition in a field
+// its node's op ignores is checked but not built: decoding it leaves the
+// cond intern table as it was, while the same condition where it is used
+// is interned.
+func TestDecodeDoesNotInternIgnoredNodes(t *testing.T) {
+	and := `{"op":"and","kids":[{"op":"null","attr":"IgnoredA"},{"op":"not","kids":[{"op":"null","attr":"IgnoredB"}]}]}`
+	before := cond.InternStats()
+	if _, err := modelio.DecodeViews(strings.NewReader(`{"query":{"V":{"q":{"op":"scanset","name":"S","cond":` + and + `}}}}`)); err != nil {
+		t.Fatal(err)
+	}
+	if got := cond.InternStats(); got != before {
+		t.Fatalf("decoding an ignored condition interned %d nodes", got-before)
+	}
+	if _, err := modelio.DecodeViews(strings.NewReader(`{"query":{"V":{"q":{"op":"select","in":{"op":"scanset","name":"S"},"cond":` + and + `}}}}`)); err != nil {
+		t.Fatal(err)
+	}
+	if got := cond.InternStats(); got != before+2 {
+		t.Fatalf("decoding a used condition interned %d nodes, want its and and not nodes", got-before)
+	}
 }

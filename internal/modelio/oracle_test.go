@@ -6,9 +6,9 @@ package modelio
 // (append.go) and the one-pass decoders (decode.go), and it is kept here as
 // their oracle: byte for byte on encode, tree for tree on decode. The
 // decode oracle disallows unknown fields in all three documents.
-// ToDocument, ViewsToDoc, OracleDecode, OracleDecodeViews and
-// OracleDecodeSnapshot are exported for the oracle tests in package
-// modelio_test.
+// ToDocument, ViewsToDoc, OracleDecode, OracleDecodeViews,
+// OracleEncodeSnapshot and OracleDecodeSnapshot are exported for the
+// oracle tests in package modelio_test.
 
 import (
 	"bytes"
@@ -541,6 +541,10 @@ func condFromDoc(d *CondDoc) (cond.Expr, error) {
 	}
 	return nil, fmt.Errorf("unknown condition op %q", d.Op)
 }
+
+// OracleEncodeSnapshot writes a SatCache snapshot through encoding/json,
+// the oracle for AppendSnapshot.
+func OracleEncodeSnapshot(s *cond.SatSnapshot) ([]byte, error) { return json.Marshal(s) }
 
 // OracleDecodeSnapshot reads a SatCache snapshot through encoding/json.
 func OracleDecodeSnapshot(data []byte) (*cond.SatSnapshot, error) {

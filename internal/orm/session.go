@@ -36,14 +36,23 @@ func (db *DB) Views() *frag.Views { return db.views }
 // Store exposes the raw relational state (for inspection and demos).
 func (db *DB) Store() *state.StoreState { return db.store }
 
-// Table returns a copy of a table's rows sorted canonically.
+// Table returns a copy of a table's rows sorted canonically. Each row's
+// canonical form is rendered once, not once per comparison.
 func (db *DB) Table(name string) []state.Row {
 	rows := db.store.Tables[name]
-	out := make([]state.Row, len(rows))
-	for i, r := range rows {
-		out[i] = r.Clone()
+	type keyed struct {
+		canon string
+		row   state.Row
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Canonical() < out[j].Canonical() })
+	ks := make([]keyed, len(rows))
+	for i, r := range rows {
+		ks[i] = keyed{r.Canonical(), r.Clone()}
+	}
+	sort.Slice(ks, func(i, j int) bool { return ks[i].canon < ks[j].canon })
+	out := make([]state.Row, len(rows))
+	for i, k := range ks {
+		out[i] = k.row
+	}
 	return out
 }
 

@@ -133,12 +133,16 @@ func (o *Options) fingerprint(m *frag.Mapping) (string, error) {
 	return store.Fingerprint(m, o.fingerprintExtras()...)
 }
 
-// generation addresses a compiled mapping and its views. A fingerprint
-// that cannot be computed leaves FP empty, which fails the generation's
-// persist.
+// generation freezes a compiled mapping and its views, which become a
+// session generation, and addresses them. Fingerprinting a frozen mapping
+// builds its entry records (internal/modelio), which the save and every
+// generation cloned from this one reuse. A fingerprint that cannot be
+// computed leaves FP empty, which fails the generation's persist.
 func (o *Options) generation(m *frag.Mapping, v *frag.Views) Generation {
-	fp, _ := o.fingerprint(m)
-	return Generation{M: m, V: v, FP: fp}
+	g := Generation{M: m, V: v}
+	g.freeze()
+	g.FP, _ = o.fingerprint(m)
+	return g
 }
 
 // errNoFingerprint fails the persist of a generation whose fingerprint
@@ -192,6 +196,14 @@ type Generation struct {
 	FP  string
 }
 
+// freeze makes the generation immutable (frag.Mapping.Freeze,
+// frag.Views.Freeze) as it becomes a session generation: from then on
+// readers share it, and evolving it clones it.
+func (g Generation) freeze() {
+	g.M.Freeze()
+	g.V.Freeze()
+}
+
 // Session owns a mapping generation and evolves it one SMO at a time.
 // Generation and Stats may be called concurrently with Evolve; Evolve
 // calls are serialized.
@@ -225,6 +237,7 @@ func NewSession(m *frag.Mapping, v *frag.Views, opts Options) *Session {
 
 // newSession starts a session whose head is g, already addressed.
 func newSession(g Generation, opts Options) *Session {
+	g.freeze()
 	s := &Session{opts: opts}
 	if opts.Store != nil {
 		s.satCache = s.opts.sharedSatCache()
@@ -258,7 +271,11 @@ func OpenSession(fp string, opts Options) (*Session, error) {
 // back to the store so the next process starts warm.
 func NewSessionCompile(ctx context.Context, m *frag.Mapping, opts Options) (*Session, error) {
 	// The lookup fingerprint is the opened generation's address on both
-	// the warm and the cold path.
+	// the warm and the cold path. On the cold path m itself becomes the
+	// session generation, so it freezes first: its entry records, built
+	// by the fingerprint, serve the save too, and a later open of the same
+	// model hashes them instead of encoding it again.
+	m.Freeze()
 	fp, fpErr := opts.fingerprint(m)
 	if opts.Store != nil {
 		cache := opts.sharedSatCache()
@@ -619,6 +636,7 @@ func (s *Session) ResumePending(fp string, m *frag.Mapping, v *frag.Views) (Gene
 // stagePending records the proposal and persists it for crash resume. The
 // caller holds evolveMu.
 func (s *Session) stagePending(g Generation) Generation {
+	g.freeze()
 	atomic.AddInt64(&s.stats.Proposals, 1)
 	s.mu.Lock()
 	s.pending = &g

@@ -7,6 +7,7 @@ package rel
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"github.com/ormkit/incmap/internal/cond"
 )
@@ -77,17 +78,34 @@ func (t *Table) IsKey(name string) bool {
 }
 
 // Schema is a mutable relational schema. The zero value is empty and ready
-// for use.
+// for use. A frozen schema (Freeze) belongs to a generation a session
+// serves; its mutators panic.
 type Schema struct {
 	tables map[string]*Table
 	order  []string
+	frozen atomic.Bool
 }
 
 // NewSchema returns an empty store schema.
 func NewSchema() *Schema { return &Schema{tables: map[string]*Table{}} }
 
+// Freeze makes the schema immutable: every mutator, MutableTable
+// included, panics from then on. Clone still works and returns an unfrozen
+// schema.
+func (s *Schema) Freeze() { s.frozen.Store(true) }
+
+// Frozen reports whether Freeze was called.
+func (s *Schema) Frozen() bool { return s.frozen.Load() }
+
+func (s *Schema) mustNotBeFrozen(op, name string) {
+	if s.frozen.Load() {
+		panic(fmt.Sprintf("rel: %s(%q) on a frozen generation's store schema (%d tables): clone it first", op, name, len(s.order)))
+	}
+}
+
 // AddTable adds a table definition.
 func (s *Schema) AddTable(t Table) error {
+	s.mustNotBeFrozen("AddTable", t.Name)
 	if t.Name == "" {
 		return fmt.Errorf("rel: table with empty name")
 	}
@@ -130,6 +148,7 @@ func (s *Schema) AddTable(t Table) error {
 
 // AddForeignKey adds a foreign key to an existing table.
 func (s *Schema) AddForeignKey(table string, fk ForeignKey) error {
+	s.mustNotBeFrozen("AddForeignKey", table)
 	t, ok := s.tables[table]
 	if !ok {
 		return fmt.Errorf("rel: unknown table %q", table)
@@ -150,6 +169,7 @@ func (s *Schema) AddForeignKey(table string, fk ForeignKey) error {
 // RemoveTable deletes a table. Tables referenced by other tables' foreign
 // keys cannot be removed.
 func (s *Schema) RemoveTable(name string) error {
+	s.mustNotBeFrozen("RemoveTable", name)
 	if _, ok := s.tables[name]; !ok {
 		return fmt.Errorf("rel: unknown table %q", name)
 	}
@@ -257,6 +277,7 @@ func (s *Schema) DeepClone() *Schema {
 // write-behind persist). Column enum slices are copied too, so appending
 // a discriminator value never writes into a shared backing array.
 func (s *Schema) MutableTable(name string) *Table {
+	s.mustNotBeFrozen("MutableTable", name)
 	src, ok := s.tables[name]
 	if !ok {
 		return nil

@@ -33,8 +33,8 @@ import (
 // set.
 type rowDigestSum [4]uint64
 
-func (s *rowDigestSum) add(rowCanonical string) {
-	d := sha256.Sum256([]byte(rowCanonical))
+func (s *rowDigestSum) add(rowCanonical []byte) {
+	d := sha256.Sum256(rowCanonical)
 	for i := 0; i < 4; i++ {
 		s[i] += binary.BigEndian.Uint64(d[i*8:])
 	}
@@ -56,6 +56,7 @@ func streamSummarize(ctx context.Context, ts exec.TableStore) (map[string]int, i
 		sum   rowDigestSum
 	}
 	var sums []tableSum
+	var canon []byte // one row's canonical form, reused across rows
 	for _, name := range ts.Tables() {
 		it, err := ts.Scan(ctx, name, exec.DefaultBatchSize)
 		if err != nil {
@@ -72,7 +73,8 @@ func streamSummarize(ctx context.Context, ts exec.TableStore) (map[string]int, i
 				break
 			}
 			for _, r := range rows {
-				t.sum.add(r.Canonical())
+				canon = r.AppendCanonical(canon[:0])
+				t.sum.add(canon)
 			}
 			t.count += len(rows)
 		}

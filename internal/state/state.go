@@ -7,6 +7,7 @@ package state
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -27,21 +28,28 @@ func (r Row) Clone() Row {
 }
 
 // Canonical renders the row deterministically, for comparison and debug
-// output.
-func (r Row) Canonical() string {
-	keys := make([]string, 0, len(r))
+// output: name=value for each column, sorted by name and separated by
+// commas, each value as cond.Value.String renders it.
+func (r Row) Canonical() string { return string(r.AppendCanonical(nil)) }
+
+// AppendCanonical appends the row's Canonical rendering to dst. Rows of up
+// to 16 columns sort their names without allocating.
+func (r Row) AppendCanonical(dst []byte) []byte {
+	var buf [16]string
+	keys := buf[:0]
 	for k := range r {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
-	var b strings.Builder
+	slices.Sort(keys)
 	for i, k := range keys {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		fmt.Fprintf(&b, "%s=%s", k, r[k])
+		dst = append(dst, k...)
+		dst = append(dst, '=')
+		dst = r[k].AppendText(dst)
 	}
-	return b.String()
+	return dst
 }
 
 // Entity is an instance of a concrete entity type.

@@ -116,18 +116,16 @@ func (s *Store) miss() { s.misses.Add(1); obsv.Add(obsv.MStoreMisses, 1) }
 
 // Fingerprint computes the content address of a compiled generation: a
 // SHA-256 of the format version, the mapping's compact canonical encoding
-// (modelio.AppendMapping) and any extra strings that influenced
-// compilation (e.g. compiler option flags). Two processes compiling the
-// same model the same way compute the same fingerprint; any model or option
-// change misses.
+// (modelio.AppendMapping, hashed a record at a time by modelio.HashMapping)
+// and any extra strings that influenced compilation (e.g. compiler option
+// flags). Two processes compiling the same model the same way compute the
+// same fingerprint; any model or option change misses.
 func Fingerprint(m *frag.Mapping, extras ...string) (string, error) {
-	b, err := modelio.AppendMapping(nil, m)
-	if err != nil {
-		return "", fmt.Errorf("store: fingerprint: %w", err)
-	}
 	h := sha256.New()
 	fmt.Fprintf(h, "incmap-gen:%d:", FormatVersion)
-	h.Write(b)
+	if err := modelio.HashMapping(h, m); err != nil {
+		return "", fmt.Errorf("store: fingerprint: %w", err)
+	}
 	for _, e := range extras {
 		fmt.Fprintf(h, ":%d:%s", len(e), e)
 	}
@@ -145,9 +143,9 @@ func checksumOf(version int, class, fp string, payload []byte) string {
 }
 
 // envelopeHead returns the envelope fields that precede a payload, in the
-// order appendRecord writes them: the version (with the comma after it),
-// the class, the fingerprint (empty when there is none) and the payload
-// key. readRecord matches a record against the same fields.
+// order a record holds them: the version (with the comma after it), the
+// class, the fingerprint (empty when there is none) and the payload key.
+// readRecord matches a record against the same fields.
 func envelopeHead(class, fp string) [4][]byte {
 	var f [4][]byte
 	f[0] = strconv.AppendInt([]byte(`{"version":`), FormatVersion, 10)
@@ -167,17 +165,23 @@ const (
 	tailLen   = len(sumKey) + 2*sha256.Size + len(sumSuffix)
 )
 
-// appendRecord appends the envelope of one artifact around its payload,
-// copied verbatim. For a compact payload these are the bytes json.Marshal
-// writes for the record.
-func appendRecord(dst []byte, class, fp string, payload []byte) []byte {
-	for _, f := range envelopeHead(class, fp) {
-		dst = append(dst, f...)
+// newRecord starts a record of class under fp: a buffer holding the
+// envelope head, with room for a payload of n bytes and the tail. The
+// caller appends the payload and hands the buffer to writeRecord, so a
+// record is built in one buffer, without copying its payload. For a
+// compact payload the finished record holds the bytes json.Marshal writes
+// for it.
+func newRecord(class, fp string, n int) []byte {
+	head := envelopeHead(class, fp)
+	size := n + tailLen
+	for _, f := range head {
+		size += len(f)
 	}
-	dst = append(dst, payload...)
-	dst = append(dst, sumKey...)
-	dst = append(dst, checksumOf(FormatVersion, class, fp, payload)...)
-	return append(dst, sumSuffix...)
+	rec := make([]byte, 0, size)
+	for _, f := range head {
+		rec = append(rec, f...)
+	}
+	return rec
 }
 
 // appendJSONString appends s as a JSON string. Envelope strings are short,
@@ -187,15 +191,23 @@ func appendJSONString(dst []byte, s string) []byte {
 	return append(dst, b...)
 }
 
-// writeRecord persists one artifact crash-safely: temp file in the target
-// directory, fsync, atomic rename, directory fsync. A payload that is not
-// valid JSON is rejected.
-func (s *Store) writeRecord(name, class, fp string, payload []byte) error {
-	if !json.Valid(payload) {
+// writeRecord finishes and persists one artifact crash-safely: rec is a
+// newRecord of class and fp followed by its payload. A payload that is not
+// valid JSON is rejected; otherwise the checksum tail is appended and the
+// record goes to a temp file in the target directory, fsync, atomic
+// rename, directory fsync.
+func (s *Store) writeRecord(name, class, fp string, rec []byte) error {
+	headLen := 0
+	for _, f := range envelopeHead(class, fp) {
+		headLen += len(f)
+	}
+	payload := rec[headLen:]
+	if !validJSON(payload) {
 		return fmt.Errorf("store: %s payload is not valid JSON", class)
 	}
-	// 160 bytes hold the envelope's fixed fields and the checksum.
-	data := appendRecord(make([]byte, 0, len(payload)+len(fp)+160), class, fp, payload)
+	data := append(rec, sumKey...)
+	data = append(data, checksumOf(FormatVersion, class, fp, payload)...)
+	data = append(data, sumSuffix...)
 	if ferr := faultinject.At(faultinject.SiteStoreSave); ferr != nil {
 		if !faultinject.IsCorrupt(ferr) {
 			return fmt.Errorf("store: %w", ferr)
@@ -267,7 +279,7 @@ func (s *Store) readRecord(name, class, fp string) ([]byte, error) {
 	return payload, nil
 }
 
-// openRecord matches data against the envelope appendRecord writes around
+// openRecord matches data against the envelope writeRecord writes around
 // a payload for class and fp, byte for byte, and returns the payload once
 // its checksum verifies. Every record the store ever wrote has that
 // layout; a file with any other is corrupt.
@@ -323,21 +335,19 @@ func genFileName(fp string) string { return "gen-" + fp + ".json" }
 
 // SaveGeneration persists a compiled (mapping, views) pair under its
 // fingerprint and prunes generations beyond the cap. The payload is
-// {"mapping":…,"views":…}, the compact mapping document and views
-// document appended in one buffer; modelio.DecodeGeneration reads it.
+// modelio's generation payload, {"mapping":…,"views":…}, which
+// modelio.DecodeGeneration reads. Its length is known from the entry
+// records before a byte is written, so the envelope, the payload and the
+// checksum go into one buffer of exactly the record's size.
 func (s *Store) SaveGeneration(fp string, m *frag.Mapping, v *frag.Views) error {
-	payload, err := modelio.AppendMapping(append([]byte(nil), `{"mapping":`...), m)
+	p, err := modelio.EncodeGeneration(m, v)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	payload = append(payload, `,"views":`...)
-	if payload, err = modelio.AppendViews(payload, v); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	payload = append(payload, '}')
+	rec := p.AppendTo(newRecord(classGeneration, fp, p.Len()))
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.writeRecord(genFileName(fp), classGeneration, fp, payload); err != nil {
+	if err := s.writeRecord(genFileName(fp), classGeneration, fp, rec); err != nil {
 		return err
 	}
 	s.pruneGenerationsLocked()
@@ -408,13 +418,10 @@ const satCacheFile = "satcache.json"
 // no fingerprint is needed: a key is valid exactly for the (expression,
 // theory) pair it encodes, whatever model it came from.
 func (s *Store) SaveSatCache(c *cond.SatCache) error {
-	payload, err := json.Marshal(c.Export())
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
+	rec := modelio.AppendSnapshot(newRecord(classSatCache, "", 0), c.Export())
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.writeRecord(satCacheFile, classSatCache, "", payload)
+	return s.writeRecord(satCacheFile, classSatCache, "", rec)
 }
 
 // LoadSatCache merges the persisted snapshot into the given cache.
@@ -462,9 +469,10 @@ func (s *Store) SaveManifest(name string, payload []byte) error {
 	if !validManifestName(name) {
 		return fmt.Errorf("store: invalid manifest name %q", name)
 	}
+	rec := append(newRecord(classManifest, name, len(payload)), payload...)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.writeRecord(manifestFileName(name), classManifest, name, payload)
+	return s.writeRecord(manifestFileName(name), classManifest, name, rec)
 }
 
 // LoadManifest restores a named manifest payload. Any damage — truncation,

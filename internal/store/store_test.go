@@ -143,6 +143,18 @@ type genPayload struct {
 	Views   json.RawMessage `json:"views"`
 }
 
+// appendRecord appends the record the store writes for payload, class and
+// fp: the envelope head, the payload verbatim and the checksum tail.
+func appendRecord(dst []byte, class, fp string, payload []byte) []byte {
+	for _, f := range envelopeHead(class, fp) {
+		dst = append(dst, f...)
+	}
+	dst = append(dst, payload...)
+	dst = append(dst, sumKey...)
+	dst = append(dst, checksumOf(FormatVersion, class, fp, payload)...)
+	return append(dst, sumSuffix...)
+}
+
 // marshalRecord builds a record the way json.Marshal writes the envelope.
 func marshalRecord(t *testing.T, class, fp string, payload []byte) []byte {
 	t.Helper()
@@ -237,7 +249,7 @@ func TestRecordBytesMatchMarshal(t *testing.T) {
 
 	for _, fp := range []string{"", "odd \"fp\" <&> \\ \u2029"} {
 		payload := []byte(`{"mapping":null,"views":{}}`)
-		if err := s.writeRecord("odd.json", classGeneration, fp, payload); err != nil {
+		if err := s.writeRecord("odd.json", classGeneration, fp, append(newRecord(classGeneration, fp, len(payload)), payload...)); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(file("odd.json"), marshalRecord(t, classGeneration, fp, payload)) {
@@ -594,4 +606,48 @@ func FuzzStoreDecode(f *testing.F) {
 		c := cond.NewSatCache()
 		_ = s.LoadSatCache(c)
 	})
+}
+
+// TestFrozenHeadConcurrentUse clones, fingerprints and saves one frozen
+// head from several goroutines at once, as a write-behind persist and the
+// next evolve do: the head's entry records are built once, and every
+// caller reads the same bytes (run under -race in CI).
+func TestFrozenHeadConcurrentUse(t *testing.T) {
+	m, v := compiledPair(t, workload.Chain(12))
+	want, err := Fingerprint(m.DeepClone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Freeze()
+	v.Freeze()
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, 12)
+	for g := 0; g < 4; g++ {
+		go func() {
+			nm, nv := m.Clone(), v.Clone()
+			nm.Freeze()
+			nv.Freeze()
+			fp, err := Fingerprint(m)
+			if err == nil && fp != want {
+				err = fmt.Errorf("fingerprint %s, want %s", fp, want)
+			}
+			errs <- err
+			if fp, err = Fingerprint(nm); err == nil && fp != want {
+				err = fmt.Errorf("a clone's fingerprint %s, want %s", fp, want)
+			}
+			errs <- err
+			errs <- s.SaveGeneration(want, m, v)
+		}()
+	}
+	for i := 0; i < 12; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := s.LoadGeneration(want); err != nil {
+		t.Fatal(err)
+	}
 }
