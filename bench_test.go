@@ -1,9 +1,8 @@
-// Benchmarks regenerating the paper's evaluation, one per table/figure.
-// See EXPERIMENTS.md for the mapping to the paper and the recorded shapes.
-//
-// The figure-level series (full parameter sweeps) are printed by
-// cmd/mapbench; these benchmarks measure representative points of each
-// figure so `go test -bench=.` tracks the same quantities.
+// Benchmarks for what no workload of the committed benchmark (bench/)
+// measures: the validation worker pool, recompiles against a warm
+// in-memory SatCache, and the copy-on-write A/B of one SMO. The paper's
+// figure series are printed by cmd/mapbench and timed by bench/; see
+// EXPERIMENTS.md.
 package incmap_test
 
 import (
@@ -18,43 +17,6 @@ import (
 	"github.com/ormkit/incmap/internal/frag"
 	"github.com/ormkit/incmap/internal/workload"
 )
-
-// --- Figure 4: full compilation of the hub-and-rim model --------------------
-
-// BenchmarkFig4HubRimTPH measures the exponential TPH curve. Points grow
-// as 2^(N·M); the default grid stays in the sub-second region and -bench
-// with -timeout raised can push further.
-func BenchmarkFig4HubRimTPH(b *testing.B) {
-	for _, p := range []struct{ n, m int }{
-		{1, 1}, {1, 4}, {2, 2}, {2, 4}, {3, 3},
-	} {
-		b.Run(fmt.Sprintf("N=%d/M=%d", p.n, p.m), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				m := workload.HubRim(workload.HubRimOptions{N: p.n, M: p.m, TPH: true})
-				if _, err := compiler.New().Compile(m); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFig4HubRimTPT measures the flat TPT baseline over the same
-// schema sizes ("under 0.2 seconds for all cases", §1.1).
-func BenchmarkFig4HubRimTPT(b *testing.B) {
-	for _, p := range []struct{ n, m int }{
-		{1, 1}, {2, 4}, {3, 3}, {4, 8}, {5, 15},
-	} {
-		b.Run(fmt.Sprintf("N=%d/M=%d", p.n, p.m), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				m := workload.HubRim(workload.HubRimOptions{N: p.n, M: p.m, TPH: false})
-				if _, err := compiler.New().Compile(m); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 // BenchmarkParallelValidate measures the validation worker pool on the
 // paper's worst published point, the N=3, M=5 TPH hub-and-rim (589,842
@@ -122,77 +84,6 @@ func BenchmarkSatCacheWarm(b *testing.B) {
 	}
 }
 
-// --- Figure 9: chain model -----------------------------------------------------
-
-// chainFixture caches the compiled chain model shared by the Figure 9
-// benchmarks (full compilation is the expensive baseline being compared
-// against, measured separately below).
-type fixture struct {
-	m     *frag.Mapping
-	views *frag.Views
-}
-
-var chainFix map[int]*fixture
-
-func chainFixture(b *testing.B, n int) *fixture {
-	b.Helper()
-	if chainFix == nil {
-		chainFix = map[int]*fixture{}
-	}
-	if f, ok := chainFix[n]; ok {
-		return f
-	}
-	m := workload.Chain(n)
-	views, err := compiler.New().Compile(m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	f := &fixture{m: m, views: views}
-	chainFix[n] = f
-	return f
-}
-
-// benchChainSize keeps the benchmark suite fast by default; mapbench runs
-// the paper's full 1002.
-const benchChainSize = 300
-
-// BenchmarkFig9FullCompile is the baseline every SMO is compared against.
-func BenchmarkFig9FullCompile(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		m := workload.Chain(benchChainSize)
-		if _, err := compiler.New().Compile(m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig9SMO measures each suite operation incrementally compiled
-// against the compiled chain model.
-func BenchmarkFig9SMO(b *testing.B) {
-	fix := chainFixture(b, benchChainSize)
-	mid := benchChainSize / 2
-	ty := func(i int) string { return fmt.Sprintf("Entity%d", i) }
-	suite := experiments.Suite(experiments.SuiteTargets{
-		TPTParent: ty(mid), TPCParent: ty(mid + 1), TPHParent: ty(mid + 2),
-		FKEnd1: ty(benchChainSize / 5), FKEnd2: ty(2 * benchChainSize / 5),
-		JTEnd1: ty(3 * benchChainSize / 5), JTEnd2: ty(4 * benchChainSize / 5),
-		PropType: ty(mid),
-	})
-	for _, op := range suite {
-		op := op
-		b.Run(op.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				r := experiments.RunOp(fix.m, fix.views, op)
-				// AE-TPC is legitimately rejected on the chain (the
-				// Figure 6 scenario); everything else must pass.
-				if r.Err != nil && op.Name != "AE-TPC" {
-					b.Fatal(r.Err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkIncrementalSMO measures one SMO applied to the full chain-1002
 // model of the paper, comparing the copy-on-write generation path ("cow",
 // the production path: Apply's internal clones share untouched fragments,
@@ -201,7 +92,11 @@ func BenchmarkFig9SMO(b *testing.B) {
 // the cow arm must be ≥5× faster and allocate ≥10× less than deepclone.
 func BenchmarkIncrementalSMO(b *testing.B) {
 	const n = 1002
-	fix := chainFixture(b, n)
+	base := workload.Chain(n)
+	views, err := compiler.New().Compile(base)
+	if err != nil {
+		b.Fatal(err)
+	}
 	mid := n / 2
 	ty := func(i int) string { return fmt.Sprintf("Entity%d", i) }
 	targets := experiments.SuiteTargets{
@@ -228,162 +123,23 @@ func BenchmarkIncrementalSMO(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					ic := core.NewIncremental()
-					m2 := fix.m.Clone()
+					m2 := base.Clone()
 					if deep {
 						// Pre-CoW, Apply deep-copied the model and all
 						// views before touching anything; charge that
 						// cost to this arm.
-						m2 = fix.m.DeepClone()
-						fix.views.DeepClone()
+						m2 = base.DeepClone()
+						views.DeepClone()
 					}
 					smo, err := op.Make(m2)
 					if err != nil {
 						b.Fatal(err)
 					}
-					if _, _, err := ic.Apply(m2, fix.views, smo); err != nil {
+					if _, _, err := ic.Apply(m2, views, smo); err != nil {
 						b.Fatal(err)
 					}
 				}
 			})
 		}
-	}
-}
-
-// --- Figure 10: customer model ---------------------------------------------------
-
-// benchCustomerOpt scales the customer model down for the default run;
-// mapbench runs the paper's published 230/18/95 statistics.
-func benchCustomerOpt() workload.CustomerOptions {
-	return workload.CustomerOptions{
-		Types: 90, Hierarchies: 10, LargestTPH: 40, Associations: 12, SharedTableFKs: 2,
-	}
-}
-
-// BenchmarkFig10FullCompile is the customer-model baseline.
-func BenchmarkFig10FullCompile(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		m := workload.Customer(benchCustomerOpt())
-		if _, err := compiler.New().Compile(m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig10SMO measures the SMO suite on the customer model.
-func BenchmarkFig10SMO(b *testing.B) {
-	m := workload.Customer(benchCustomerOpt())
-	views, err := compiler.New().Compile(m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	suite := experiments.Suite(experiments.SuiteTargets{
-		TPTParent: "H1T1", TPCParent: "H3T0", TPHParent: "H0T2",
-		FKEnd1: "H1T0", FKEnd2: "H5T0",
-		JTEnd1: "H3T0", JTEnd2: "H7T0",
-		PropType: "H1T1",
-	})
-	for _, op := range suite {
-		op := op
-		b.Run(op.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				r := experiments.RunOp(m, views, op)
-				if r.Err != nil && op.Name != "AE-TPC" {
-					b.Fatal(r.Err)
-				}
-			}
-		})
-	}
-}
-
-// --- Ablations (design decisions of DESIGN.md §6) ----------------------------------
-
-// BenchmarkAblationCellPruning compares theory-pruned cell enumeration
-// against the naive 2^n enumeration during full validation.
-func BenchmarkAblationCellPruning(b *testing.B) {
-	for _, naive := range []bool{false, true} {
-		name := "pruned"
-		if naive {
-			name = "naive"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				m := workload.HubRim(workload.HubRimOptions{N: 2, M: 3, TPH: true})
-				c := &compiler.Compiler{Opts: compiler.Options{NaiveCells: naive}}
-				if _, err := c.Compile(m); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationSimplifier compares incremental compilation with and
-// without the outer-join-eliminating simplifier in front of containment.
-func BenchmarkAblationSimplifier(b *testing.B) {
-	fix := chainFixture(b, 100)
-	op := experiments.Suite(experiments.SuiteTargets{
-		TPTParent: "Entity50", TPCParent: "Entity51", TPHParent: "Entity52",
-		FKEnd1: "Entity10", FKEnd2: "Entity20",
-		JTEnd1: "Entity30", JTEnd2: "Entity40",
-		PropType: "Entity50",
-	})[0] // AE-TPT
-	for _, noSimplify := range []bool{false, true} {
-		noSimplify := noSimplify
-		name := "simplified"
-		if noSimplify {
-			name = "unsimplified"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ic := &core.Incremental{Opts: core.Options{NoSimplify: noSimplify}}
-				m2 := fix.m.Clone()
-				smo, err := op.Make(m2)
-				if err != nil {
-					b.Fatal(err)
-				}
-				_, _, err = ic.Apply(m2, fix.views, smo)
-				switch {
-				case err == nil && noSimplify:
-					b.Fatal("unsimplified containment unexpectedly accepted the SMO")
-				case err != nil && !noSimplify:
-					b.Fatal(err)
-				}
-				// The unsimplified arm measures the time to the (expected)
-				// rejection: without the outer-join eliminations the
-				// conservative containment approximations are incomplete —
-				// the ablation's finding (see EXPERIMENTS.md).
-			}
-		})
-	}
-}
-
-// BenchmarkAblationNeighbourhood compares localized validation against
-// re-checking every foreign key of the model.
-func BenchmarkAblationNeighbourhood(b *testing.B) {
-	fix := chainFixture(b, benchChainSize)
-	op := experiments.Suite(experiments.SuiteTargets{
-		TPTParent: "Entity150", TPCParent: "Entity151", TPHParent: "Entity152",
-		FKEnd1: "Entity10", FKEnd2: "Entity20",
-		JTEnd1: "Entity30", JTEnd2: "Entity40",
-		PropType: "Entity150",
-	})[0] // AE-TPT
-	for _, wide := range []bool{false, true} {
-		name := "neighbourhood"
-		if wide {
-			name = "all-constraints"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ic := &core.Incremental{Opts: core.Options{WideValidation: wide}}
-				m2 := fix.m.Clone()
-				smo, err := op.Make(m2)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, _, err := ic.Apply(m2, fix.views, smo); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

@@ -1,41 +1,28 @@
 // Command mapbench regenerates the evaluation of Bernstein et al. (SIGMOD
 // 2013): the Figure 4 hub-and-rim compilation grid, the Figure 9 SMO suite
 // on the 1002-entity chain model, the Figure 10 SMO suite on the synthetic
-// customer model, and the ablation studies.
+// customer model, the ablation studies and the §6 view study.
 //
 // Usage:
 //
 //	mapbench -exp fig4 [-maxn 4 -maxm 8 -budget 10s]
 //	mapbench -exp fig9 [-chain 1002]
 //	mapbench -exp fig10 [-types 230 -hier 18 -largest 95]
-//	mapbench -exp warmstart [-store DIR]
 //	mapbench -exp ablations
-//	mapbench -exp stream [-chain 1002 -stream-rows 1000000 -stream-batch 0]
+//	mapbench -exp views [-chain 200]
 //	mapbench -exp all
 //
-// With -json, machine-readable results are also written next to the
-// terminal tables: BENCH_fig4.json, BENCH_fig9.json, BENCH_fig10.json and
-// BENCH_warmstart.json (per-SMO wall time, containment counts and
-// allocation counts; cold vs warm open and evolve for warmstart).
-//
-// The warmstart experiment measures the persistent compile cache: a cold
-// session open (full compile + snapshot) versus a warm open restoring the
-// generation and SatCache from disk, across Figure 4 hub-and-rim points.
-// It finishes by re-executing mapbench as a child process over the shared
-// store directory, reporting the true cross-process warm-start numbers.
+// Each experiment prints the paper's series as a table. With -trace, every
+// compilation is recorded: each experiment also prints its per-phase span
+// totals, and the whole run is written as a Chrome trace_event file.
+// Timing with repeated runs, spreads and a verdict lives in the committed
+// benchmark (bash bench/run.sh); acceptance bounds live in the test gates.
 package main
 
 import (
-	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"os/exec"
-	"runtime"
-	"strconv"
-	"strings"
 	"time"
 
 	"github.com/ormkit/incmap/internal/experiments"
@@ -52,40 +39,16 @@ var (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: fig4, fig9, fig10, warmstart, ablations, views, fallback, serve-soak, rollout-soak, stream, all")
+	exp := flag.String("exp", "all", "experiment: fig4, fig9, fig10, ablations, views, all")
 	maxN := flag.Int("maxn", 4, "fig4: maximum hierarchy depth N")
 	maxM := flag.Int("maxm", 8, "fig4: maximum fan-out M")
 	budget := flag.Duration("budget", 10*time.Second, "fig4: per-point budget before a depth's curve is cut off")
-	chain := flag.Int("chain", 1002, "fig9: chain length (the paper uses 1002)")
+	chain := flag.Int("chain", 1002, "fig9 and views: chain length (the paper uses 1002)")
 	types := flag.Int("types", 230, "fig10: total entity types")
 	hier := flag.Int("hier", 18, "fig10: hierarchies")
 	largest := flag.Int("largest", 95, "fig10: size of the largest (TPH) hierarchy")
-	storeDir := flag.String("store", "", "warmstart: persistent store directory (default: a fresh temp dir)")
-	jsonOut := flag.Bool("json", false, "also write machine-readable results to BENCH_fig{4,9,10}.json / BENCH_warmstart.json")
-	tenants := flag.Int("tenants", 4, "serve-soak: concurrent tenants")
-	soakEvolves := flag.Int("soak-evolves", 12, "serve-soak: evolves per tenant")
-	soakFaults := flag.Bool("soak-faults", true, "serve-soak: run under the deterministic fault storm")
-	streamRows := flag.Int("stream-rows", 1_000_000, "stream: target row count pushed through the views")
-	streamBatch := flag.Int("stream-batch", 0, "stream: executor batch size (0 = executor default)")
-	streamEvolves := flag.Int("stream-evolves", 8, "stream: concurrent SMOs through pipeline.Session (-1 disables)")
 	traceOut := flag.String("trace", "", "record every compilation and write a Chrome trace_event JSON file (open in chrome://tracing or Perfetto)")
 	flag.Parse()
-
-	// Child mode: -exp warmstart re-executes this binary to measure a true
-	// second-process warm start; the child prints one JSON object and exits.
-	if spec := os.Getenv("MAPBENCH_WARMSTART_CHILD"); spec != "" {
-		runWarmstartChild(spec)
-		return
-	}
-	// Child mode: -exp rollout-soak re-executes this binary as the process
-	// the kill/resume leg SIGKILLs mid-backfill.
-	if dir := os.Getenv("MAPBENCH_ROLLOUT_CHILD"); dir != "" {
-		if err := experiments.RolloutChild(dir); err != nil {
-			fmt.Fprintln(os.Stderr, "mapbench: rollout child:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *traceOut != "" {
 		traceSink = obsv.NewRecordingSink()
@@ -94,69 +57,45 @@ func main() {
 
 	switch *exp {
 	case "fig4":
-		runFig4(*maxN, *maxM, *budget, *jsonOut)
+		runFig4(*maxN, *maxM, *budget)
 	case "fig9":
-		runFig9(*chain, *jsonOut)
+		runFig9(*chain)
 	case "fig10":
-		runFig10(*types, *hier, *largest, *jsonOut)
+		runFig10(*types, *hier, *largest)
 	case "ablations":
 		runAblations()
 	case "views":
 		runViewComparison(*chain)
-	case "fallback":
-		runFallback(*chain, *jsonOut)
-	case "warmstart":
-		runWarmstart(*storeDir, *jsonOut)
-	case "serve-soak":
-		runServeSoak(*tenants, *soakEvolves, *soakFaults, *jsonOut)
-	case "rollout-soak":
-		runRolloutSoak(*tenants, *jsonOut)
-	case "stream":
-		runStream(*chain, *streamRows, *streamBatch, *streamEvolves, *jsonOut)
 	case "all":
-		runFig4(*maxN, *maxM, *budget, *jsonOut)
-		runFig9(*chain, *jsonOut)
-		runFig10(*types, *hier, *largest, *jsonOut)
+		runFig4(*maxN, *maxM, *budget)
+		runFig9(*chain)
+		runFig10(*types, *hier, *largest)
 		runAblations()
 		runViewComparison(200)
-		runFallback(*chain, *jsonOut)
-		runWarmstart(*storeDir, *jsonOut)
-		runServeSoak(*tenants, *soakEvolves, *soakFaults, *jsonOut)
-		runRolloutSoak(*tenants, *jsonOut)
-		runStream(*chain, *streamRows, *streamBatch, *streamEvolves, *jsonOut)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
 		os.Exit(2)
 	}
 
 	if *traceOut != "" {
-		drainPhases() // pick up spans of experiments that did not drain
 		writeTrace(*traceOut)
 	}
 }
 
-// drainPhases empties the trace sink into the run-wide span list and folds
-// the drained spans — one experiment's worth — into a per-phase breakdown.
-// Returns nil when tracing is off.
-func drainPhases() []obsv.PhaseSummary {
+// printPhases empties the trace sink into the run-wide span list and
+// prints the drained spans — one experiment's worth — as a per-phase
+// table. It prints nothing when tracing is off.
+func printPhases() {
 	if traceSink == nil {
-		return nil
+		return
 	}
 	spans := traceSink.Drain()
 	allSpans = append(allSpans, spans...)
 	if len(spans) == 0 {
-		return nil
-	}
-	return obsv.SummarizePhases(spans)
-}
-
-// printPhases renders one experiment's per-phase breakdown table.
-func printPhases(phases []obsv.PhaseSummary) {
-	if len(phases) == 0 {
 		return
 	}
 	fmt.Println("--- per-phase breakdown (span name, count, total seconds) ---")
-	for _, p := range phases {
+	for _, p := range obsv.SummarizePhases(spans) {
 		fmt.Printf("%-22s %8d %14.6f\n", p.Name, p.Count, p.Seconds)
 	}
 	fmt.Println()
@@ -165,48 +104,21 @@ func printPhases(phases []obsv.PhaseSummary) {
 func writeTrace(path string) {
 	f, err := os.Create(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mapbench:", err)
-		os.Exit(1)
+		fail(err)
 	}
 	defer f.Close()
 	if err := obsv.WriteChromeTrace(f, allSpans); err != nil {
-		fmt.Fprintln(os.Stderr, "mapbench:", err)
-		os.Exit(1)
+		fail(err)
 	}
 	fmt.Printf("wrote %s (%d spans)\n", path, len(allSpans))
 }
 
-// fig4JSON is the machine-readable form of one Figure 4 grid point.
-type fig4JSON struct {
-	N          int     `json:"n"`
-	M          int     `json:"m"`
-	TPHSeconds float64 `json:"tphSeconds"`
-	TPHError   string  `json:"tphError,omitempty"`
-	TPTSeconds float64 `json:"tptSeconds"`
-	TPTError   string  `json:"tptError,omitempty"`
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "mapbench:", err)
+	os.Exit(1)
 }
 
-// fig4FrontierJSON is one frontier row: the largest fan-out M completing
-// under the point budget at depth N.
-type fig4FrontierJSON struct {
-	N          int     `json:"n"`
-	MaxM       int     `json:"maxM"`
-	TPHSeconds float64 `json:"tphSeconds"`
-}
-
-// fig4File is the envelope written to BENCH_fig4.json.
-type fig4File struct {
-	GoMaxProcs int                 `json:"goMaxProcs"`
-	NumCPU     int                 `json:"numCPU"`
-	MaxN       int                 `json:"maxN"`
-	MaxM       int                 `json:"maxM"`
-	BudgetSecs float64             `json:"pointBudgetSeconds"`
-	Rows       []fig4JSON          `json:"rows"`
-	Frontier   []fig4FrontierJSON  `json:"frontier"`
-	Phases     []obsv.PhaseSummary `json:"phases,omitempty"`
-}
-
-func runFig4(maxN, maxM int, budget time.Duration, jsonOut bool) {
+func runFig4(maxN, maxM int, budget time.Duration) {
 	fmt.Println("=== Figure 4: full compilation time of the hub-and-rim model ===")
 	fmt.Println("(TPH is exponential in N+N*M; TPT stays flat — §1.1 of the paper)")
 	fmt.Printf("%-4s %-4s %14s %14s\n", "N", "M", "TPH (s)", "TPT (s)")
@@ -215,144 +127,29 @@ func runFig4(maxN, maxM int, budget time.Duration, jsonOut bool) {
 		fmt.Printf("%-4d %-4d %14.6f %14.6f\n", r.N, r.M, r.TPH.Seconds(), r.TPT.Seconds())
 	}
 	fmt.Println()
-	frontier := experiments.Fig4Frontier(rows, budget)
 	fmt.Println("--- frontier: largest M under the point budget, per N ---")
-	for _, f := range frontier {
+	for _, f := range experiments.Fig4Frontier(rows, budget) {
 		fmt.Printf("N=%-3d maxM=%-3d TPH %12.6fs\n", f.N, f.MaxM, f.TPH.Seconds())
 	}
 	fmt.Println()
-	phases := drainPhases()
-	printPhases(phases)
-	if !jsonOut {
-		return
-	}
-	out := fig4File{
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		MaxN:       maxN,
-		MaxM:       maxM,
-		BudgetSecs: budget.Seconds(),
-		Phases:     phases,
-	}
-	for _, f := range frontier {
-		out.Frontier = append(out.Frontier, fig4FrontierJSON{N: f.N, MaxM: f.MaxM, TPHSeconds: f.TPH.Seconds()})
-	}
-	for _, r := range rows {
-		j := fig4JSON{N: r.N, M: r.M, TPHSeconds: r.TPH.Seconds(), TPTSeconds: r.TPT.Seconds()}
-		if r.TPHErr != nil {
-			j.TPHError = r.TPHErr.Error()
-		}
-		if r.TPTErr != nil {
-			j.TPTError = r.TPTErr.Error()
-		}
-		out.Rows = append(out.Rows, j)
-	}
-	writeJSONFile("BENCH_fig4.json", out)
+	printPhases()
 }
 
-// smoJSON is the machine-readable form of one SMO suite row. The
-// degradation counters record how the row completed: fallbacks taken by
-// the pipeline ladder, compilations stopped by cancellation or deadline,
-// and worker panics recovered into errors.
-type smoJSON struct {
-	Name            string  `json:"name"`
-	Seconds         float64 `json:"seconds"`
-	Containments    int64   `json:"containments"`
-	Allocs          uint64  `json:"allocs"`
-	Error           string  `json:"error,omitempty"`
-	Note            string  `json:"note,omitempty"`
-	Fallbacks       int64   `json:"fallbacks,omitempty"`
-	Cancelled       int64   `json:"cancelled,omitempty"`
-	PanicsRecovered int64   `json:"panicsRecovered,omitempty"`
-}
-
-func toSMOJSON(r experiments.Result) smoJSON {
-	j := smoJSON{
-		Name:            r.Name,
-		Seconds:         r.D.Seconds(),
-		Containments:    r.Containments,
-		Allocs:          r.Allocs,
-		Note:            r.Note,
-		Fallbacks:       r.Fallbacks,
-		Cancelled:       r.Cancelled,
-		PanicsRecovered: r.PanicsRecovered,
-	}
-	if r.Err != nil {
-		j.Error = r.Err.Error()
-	}
-	return j
-}
-
-// suiteFile is the envelope written to BENCH_fig9.json / BENCH_fig10.json.
-type suiteFile struct {
-	GoMaxProcs int `json:"goMaxProcs"`
-	NumCPU     int `json:"numCPU"`
-	// Model parameters: Chain for fig9; Types/Hierarchies/LargestTPH for fig10.
-	Chain            int                 `json:"chain,omitempty"`
-	Types            int                 `json:"types,omitempty"`
-	Hierarchies      int                 `json:"hierarchies,omitempty"`
-	LargestTPH       int                 `json:"largestTPH,omitempty"`
-	FullSeconds      float64             `json:"fullCompileSeconds"`
-	FullContainments int64               `json:"fullCompileContainments"`
-	FullAllocs       uint64              `json:"fullCompileAllocs"`
-	Rows             []smoJSON           `json:"rows"`
-	Phases           []obsv.PhaseSummary `json:"phases,omitempty"`
-}
-
-func writeSuiteJSON(path string, out suiteFile, full experiments.Result, suite []experiments.Result) {
-	out.GoMaxProcs = runtime.GOMAXPROCS(0)
-	out.NumCPU = runtime.NumCPU()
-	out.FullSeconds = full.D.Seconds()
-	out.FullContainments = full.Containments
-	out.FullAllocs = full.Allocs
-	for _, r := range suite {
-		out.Rows = append(out.Rows, toSMOJSON(r))
-	}
-	writeJSONFile(path, out)
-}
-
-func writeJSONFile(path string, out any) {
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mapbench:", err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "mapbench:", err)
-		os.Exit(1)
-	}
-	fmt.Println("wrote " + path)
-	fmt.Println()
-}
-
-func runFig9(chain int, jsonOut bool) {
+func runFig9(chain int) {
 	fmt.Printf("=== Figure 9: SMO suite on the chain model (%d entity types) ===\n", chain)
-	full, suite := experiments.Fig9(chain)
-	fmt.Println(full)
-	printSuite(full, suite)
-	phases := drainPhases()
-	printPhases(phases)
-	if jsonOut {
-		writeSuiteJSON("BENCH_fig9.json", suiteFile{Chain: chain, Phases: phases}, full, suite)
-	}
+	printSuite(experiments.Fig9(chain))
 }
 
-func runFig10(types, hier, largest int, jsonOut bool) {
+func runFig10(types, hier, largest int) {
 	fmt.Printf("=== Figure 10: SMO suite on the customer model (%d types, %d hierarchies, largest %d) ===\n",
 		types, hier, largest)
 	opt := workload.DefaultCustomerOptions()
 	opt.Types, opt.Hierarchies, opt.LargestTPH = types, hier, largest
-	full, suite := experiments.Fig10(opt)
-	fmt.Println(full)
-	printSuite(full, suite)
-	phases := drainPhases()
-	printPhases(phases)
-	if jsonOut {
-		writeSuiteJSON("BENCH_fig10.json", suiteFile{Types: types, Hierarchies: hier, LargestTPH: largest, Phases: phases}, full, suite)
-	}
+	printSuite(experiments.Fig10(opt))
 }
 
 func printSuite(full experiments.Result, suite []experiments.Result) {
+	fmt.Println(full)
 	for _, r := range suite {
 		speedup := ""
 		if r.Err == nil && r.D > 0 {
@@ -361,52 +158,20 @@ func printSuite(full experiments.Result, suite []experiments.Result) {
 		fmt.Printf("%s %s\n", r, speedup)
 	}
 	fmt.Println()
-}
-
-// fallbackFile is the envelope written to BENCH_fallback.json.
-type fallbackFile struct {
-	GoMaxProcs int                 `json:"goMaxProcs"`
-	NumCPU     int                 `json:"numCPU"`
-	Chain      int                 `json:"chain"`
-	Rows       []smoJSON           `json:"rows"`
-	Phases     []obsv.PhaseSummary `json:"phases,omitempty"`
-}
-
-func runFallback(chain int, jsonOut bool) {
-	fmt.Printf("=== Fallback ladder overhead: incremental vs forced full-compile fallback (chain %d) ===\n", chain)
-	rows, err := experiments.FallbackOverhead(chain)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mapbench:", err)
-		os.Exit(1)
-	}
-	for _, r := range rows {
-		fmt.Println(r)
-	}
-	fmt.Println()
-	phases := drainPhases()
-	printPhases(phases)
-	if !jsonOut {
-		return
-	}
-	out := fallbackFile{GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(), Chain: chain, Phases: phases}
-	for _, r := range rows {
-		out.Rows = append(out.Rows, toSMOJSON(r))
-	}
-	writeJSONFile("BENCH_fallback.json", out)
+	printPhases()
 }
 
 func runViewComparison(chain int) {
 	fmt.Printf("=== §6 future-work study: incremental vs full views (chain %d) ===\n", chain)
 	rows, err := experiments.CompareViews(chain)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mapbench:", err)
-		os.Exit(1)
+		fail(err)
 	}
 	for _, r := range rows {
 		fmt.Println(r)
 	}
 	fmt.Println()
-	printPhases(drainPhases())
+	printPhases()
 }
 
 func runAblations() {
@@ -425,331 +190,5 @@ func runAblations() {
 		fmt.Println(r)
 	}
 	fmt.Println()
-}
-
-// warmstartJSON is one cold-vs-warm row of BENCH_warmstart.json.
-type warmstartJSON struct {
-	N                 int     `json:"n"`
-	M                 int     `json:"m"`
-	TPH               bool    `json:"tph"`
-	ColdSeconds       float64 `json:"coldSeconds"`
-	WarmSeconds       float64 `json:"warmSeconds"`
-	ColdEvolveSeconds float64 `json:"coldEvolveSeconds"`
-	WarmEvolveSeconds float64 `json:"warmEvolveSeconds"`
-	Speedup           float64 `json:"speedup"`
-	StoreHits         int64   `json:"storeHits"`
-	PersistedHits     int64   `json:"persistedHits"`
-	StoreBytes        int64   `json:"storeBytes"`
-	Error             string  `json:"error,omitempty"`
-}
-
-// warmstartFile is the envelope written to BENCH_warmstart.json.
-type warmstartFile struct {
-	GoMaxProcs    int                               `json:"goMaxProcs"`
-	NumCPU        int                               `json:"numCPU"`
-	Rows          []warmstartJSON                   `json:"rows"`
-	SecondProcess *experiments.WarmstartChildResult `json:"secondProcess,omitempty"`
-}
-
-// warmstartPoints are the Figure 4 hub-and-rim points measured cold vs
-// warm: enough TPH surface that the cold compile is seconds, not micro-
-// seconds, so the warm restore has something to beat.
-var warmstartPoints = [][2]int{{2, 3}, {3, 3}, {3, 5}}
-
-func runWarmstart(dir string, jsonOut bool) {
-	fmt.Println("=== Warm start: persistent compile cache, cold vs restored session open ===")
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "incmap-store-*")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mapbench:", err)
-			os.Exit(1)
-		}
-		defer os.RemoveAll(tmp)
-		dir = tmp
-	}
-	fmt.Printf("%-4s %-4s %12s %12s %10s %12s %12s %6s %6s\n",
-		"N", "M", "cold (s)", "warm (s)", "speedup", "coldEvo (s)", "warmEvo (s)", "hits", "pHits")
-	out := warmstartFile{GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU()}
-	var last [2]int
-	for _, pt := range warmstartPoints {
-		sub, err := os.MkdirTemp(dir, fmt.Sprintf("n%dm%d-*", pt[0], pt[1]))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mapbench:", err)
-			os.Exit(1)
-		}
-		p := experiments.Warmstart(pt[0], pt[1], true, sub)
-		row := warmstartJSON{
-			N: p.N, M: p.M, TPH: p.TPH,
-			ColdSeconds:       p.Cold.Seconds(),
-			WarmSeconds:       p.Warm.Seconds(),
-			ColdEvolveSeconds: p.ColdEvolve.Seconds(),
-			WarmEvolveSeconds: p.WarmEvolve.Seconds(),
-			Speedup:           p.Speedup,
-			StoreHits:         p.StoreHits,
-			PersistedHits:     p.PersistedHits,
-			StoreBytes:        p.StoreBytes,
-		}
-		if p.Err != nil {
-			row.Error = p.Err.Error()
-		}
-		out.Rows = append(out.Rows, row)
-		fmt.Printf("%-4d %-4d %12.6f %12.6f %9.0fx %12.6f %12.6f %6d %6d\n",
-			p.N, p.M, row.ColdSeconds, row.WarmSeconds, p.Speedup,
-			row.ColdEvolveSeconds, row.WarmEvolveSeconds, p.StoreHits, p.PersistedHits)
-		if p.Err == nil {
-			last = pt
-			// The deepest point's store feeds the second-process run below.
-			if child, err := warmstartSecondProcess(sub, pt[0], pt[1]); err == nil {
-				out.SecondProcess = &child
-			} else {
-				fmt.Fprintln(os.Stderr, "mapbench: second process:", err)
-			}
-		}
-	}
-	if sp := out.SecondProcess; sp != nil {
-		fmt.Printf("\n--- second process (fresh OS process over the N=%d M=%d store) ---\n", last[0], last[1])
-		fmt.Printf("warm open %fs, evolve %fs, warmStarts=%d storeHits=%d persistedHits=%d roundtrip=%v\n",
-			sp.WarmSeconds, sp.EvolveSeconds, sp.WarmStarts, sp.StoreHits, sp.PersistedHits, sp.RoundtripOK)
-	}
-	fmt.Println()
-	printPhases(drainPhases())
-	if jsonOut {
-		writeJSONFile("BENCH_warmstart.json", out)
-	}
-}
-
-// warmstartSecondProcess re-executes this binary over the populated store
-// so the warm numbers cross a real process boundary.
-func warmstartSecondProcess(dir string, n, m int) (experiments.WarmstartChildResult, error) {
-	var r experiments.WarmstartChildResult
-	exe, err := os.Executable()
-	if err != nil {
-		return r, err
-	}
-	cmd := exec.Command(exe)
-	cmd.Env = append(os.Environ(), fmt.Sprintf("MAPBENCH_WARMSTART_CHILD=%s:%d:%d:tph", dir, n, m))
-	cmd.Stderr = os.Stderr
-	outBytes, err := cmd.Output()
-	if err != nil {
-		return r, err
-	}
-	err = json.Unmarshal(outBytes, &r)
-	return r, err
-}
-
-// runWarmstartChild is the child half: spec is "dir:n:m:style".
-func runWarmstartChild(spec string) {
-	parts := strings.Split(spec, ":")
-	if len(parts) != 4 {
-		fmt.Fprintf(os.Stderr, "mapbench: bad warmstart child spec %q\n", spec)
-		os.Exit(2)
-	}
-	n, err1 := strconv.Atoi(parts[1])
-	m, err2 := strconv.Atoi(parts[2])
-	if err1 != nil || err2 != nil {
-		fmt.Fprintf(os.Stderr, "mapbench: bad warmstart child spec %q\n", spec)
-		os.Exit(2)
-	}
-	r, err := experiments.WarmstartChild(parts[0], n, m, parts[3] == "tph")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mapbench:", err)
-		os.Exit(1)
-	}
-	data, err := json.Marshal(r)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mapbench:", err)
-		os.Exit(1)
-	}
-	os.Stdout.Write(append(data, '\n'))
-}
-
-// serveFile is the envelope written to BENCH_serve.json.
-type serveFile struct {
-	Tenants    int                         `json:"tenants"`
-	Faults     bool                        `json:"faults"`
-	GoMaxProcs int                         `json:"gomaxprocs"`
-	NumCPU     int                         `json:"numCPU"`
-	Soak       experiments.ServeSoakResult `json:"soak"`
-}
-
-// rolloutFile is the envelope written to BENCH_rollout.json. Pass is the
-// conjunction of the soak's acceptance verdicts and the kill leg's — CI
-// asserts on it (and mapbench exits non-zero when it is false).
-type rolloutFile struct {
-	Tenants    int                            `json:"tenants"`
-	GoMaxProcs int                            `json:"gomaxprocs"`
-	NumCPU     int                            `json:"numCPU"`
-	Soak       experiments.RolloutSoakResult  `json:"soak"`
-	Kill       *experiments.RolloutKillResult `json:"kill,omitempty"`
-	KillError  string                         `json:"killError,omitempty"`
-	Pass       bool                           `json:"pass"`
-}
-
-func runRolloutSoak(tenants int, jsonOut bool) {
-	fmt.Println("=== Rollout soak: guarded cutovers, automatic rollbacks and a mid-backfill process kill ===")
-	dir, err := os.MkdirTemp("", "incmap-rollout-*")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mapbench:", err)
-		os.Exit(1)
-	}
-	defer os.RemoveAll(dir)
-	res, err := experiments.RolloutSoak(experiments.RolloutSoakOptions{Tenants: tenants, Dir: dir})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mapbench: rollout-soak:", err)
-		os.Exit(1)
-	}
-	fmt.Println(res.String())
-
-	out := rolloutFile{
-		Tenants: tenants, GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
-		Soak: res, Pass: res.Pass(),
-	}
-	kill, err := runRolloutKill()
-	if err != nil {
-		out.KillError = err.Error()
-		out.Pass = false
-		fmt.Fprintln(os.Stderr, "mapbench: rollout kill leg:", err)
-	} else {
-		out.Kill = &kill
-		out.Pass = out.Pass && kill.Pass()
-		fmt.Println(kill.String())
-	}
-	fmt.Println()
-	if jsonOut {
-		writeJSONFile("BENCH_rollout.json", out)
-	}
-	if !out.Pass {
-		fmt.Fprintln(os.Stderr, "mapbench: rollout-soak: acceptance verdicts violated")
-		os.Exit(1)
-	}
-}
-
-// runRolloutKill re-executes this binary over a shared store directory,
-// SIGKILLs it once two backfill checkpoints are on disk, and resumes the
-// rollout in-process over the same directory.
-func runRolloutKill() (experiments.RolloutKillResult, error) {
-	var res experiments.RolloutKillResult
-	dir, err := os.MkdirTemp("", "incmap-rollout-kill-*")
-	if err != nil {
-		return res, err
-	}
-	defer os.RemoveAll(dir)
-	exe, err := os.Executable()
-	if err != nil {
-		return res, err
-	}
-	cmd := exec.Command(exe)
-	cmd.Env = append(os.Environ(), "MAPBENCH_ROLLOUT_CHILD="+dir)
-	cmd.Stderr = os.Stderr
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return res, err
-	}
-	if err := cmd.Start(); err != nil {
-		return res, err
-	}
-	// Scan the child's progress lines; kill once two batches committed. A
-	// TERMINAL line means the child's backfill outran us — report that as
-	// a failure rather than resuming a finished rollout.
-	batches, killErr := watchAndKill(cmd, stdout)
-	_ = cmd.Wait() // reaps the SIGKILLed child; the error is expected
-	if killErr != nil {
-		return res, killErr
-	}
-	return experiments.RolloutResume(dir, batches)
-}
-
-// watchAndKill reads BATCH lines from the child and SIGKILLs it once the
-// second checkpoint lands, returning how many batches had committed.
-func watchAndKill(cmd *exec.Cmd, stdout io.Reader) (int, error) {
-	sc := bufio.NewScanner(stdout)
-	deadline := time.Now().Add(60 * time.Second)
-	batches := 0
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "BATCH "):
-			fmt.Sscanf(line, "BATCH %d", &batches)
-			if batches >= 2 {
-				return batches, cmd.Process.Kill()
-			}
-		case strings.HasPrefix(line, "TERMINAL "):
-			_ = cmd.Process.Kill()
-			return batches, fmt.Errorf("child backfill finished (%s) before the kill", line)
-		}
-		if time.Now().After(deadline) {
-			_ = cmd.Process.Kill()
-			return batches, fmt.Errorf("child never reached 2 batches")
-		}
-	}
-	_ = cmd.Process.Kill()
-	return batches, fmt.Errorf("child exited early (last batch count %d)", batches)
-}
-
-// streamFile is the envelope written to BENCH_stream.json.
-type streamFile struct {
-	GoMaxProcs int                      `json:"goMaxProcs"`
-	NumCPU     int                      `json:"numCPU"`
-	Result     experiments.StreamResult `json:"result"`
-	Phases     []obsv.PhaseSummary      `json:"phases,omitempty"`
-}
-
-// runStream drives the streaming executor over a chain-model store at
-// real data volume: the client state is streamed through the update views
-// into a segmented ring store, then every query and association view is
-// drained through the executor while SMOs concurrently evolve the schema
-// through a pipeline session. The materializing ORM path runs the same
-// scan as the memory baseline; mapbench exits non-zero when the streaming
-// peak misses the <10% acceptance bound.
-func runStream(chain, rows, batch, evolves int, jsonOut bool) {
-	fmt.Printf("=== Streaming executor: %d rows through the chain-%d views, SMOs evolving concurrently ===\n", rows, chain)
-	res, err := experiments.Stream(experiments.StreamOptions{
-		Chain: chain, Rows: rows, Batch: batch, Evolves: evolves,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mapbench: stream:", err)
-		os.Exit(1)
-	}
-	fmt.Println(res.String())
-	fmt.Println()
-	phases := drainPhases()
-	printPhases(phases)
-	if jsonOut {
-		writeJSONFile("BENCH_stream.json", streamFile{
-			GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
-			Result: res, Phases: phases,
-		})
-	}
-	if !res.Pass {
-		fmt.Fprintln(os.Stderr, "mapbench: stream: acceptance bound violated (peak streaming bytes vs materializing baseline)")
-		os.Exit(1)
-	}
-}
-
-func runServeSoak(tenants, evolves int, faults, jsonOut bool) {
-	fmt.Println("=== Serve soak: multi-tenant daemon under concurrent evolves, reads and faults ===")
-	dir, err := os.MkdirTemp("", "incmap-serve-*")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mapbench:", err)
-		os.Exit(1)
-	}
-	defer os.RemoveAll(dir)
-	res, err := experiments.ServeSoak(experiments.ServeSoakOptions{
-		Tenants:          tenants,
-		EvolvesPerTenant: evolves,
-		Faults:           faults,
-		Dir:              dir,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mapbench: serve-soak:", err)
-		os.Exit(1)
-	}
-	fmt.Println(res.String())
-	if jsonOut {
-		writeJSONFile("BENCH_serve.json", serveFile{
-			Tenants: tenants, Faults: faults,
-			GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
-			Soak: res,
-		})
-	}
+	printPhases()
 }

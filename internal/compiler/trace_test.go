@@ -150,7 +150,7 @@ func TestTraceParallelValidationConsistentTree(t *testing.T) {
 // accounts for the compile's measured wall time: the span must not exceed
 // the end-to-end measurement and must cover most of it, so per-phase
 // breakdowns in traces (EXPERIMENTS.md) can be trusted against externally
-// timed results like BENCH_fig4.json.
+// timed results such as mapbench's tables.
 func TestTraceReconcilesWallTime(t *testing.T) {
 	sink := &obsv.RecordingSink{}
 	tr := obsv.New(sink)

@@ -1,5 +1,7 @@
 package cond
 
+import "sort"
+
 // Snapshot export/import: the portable form of a SatCache that
 // internal/store persists to disk. Everything in a snapshot is keyed by
 // strings that are stable across processes — verdict keys embed content
@@ -39,9 +41,10 @@ type LemmaLitSnapshot struct {
 }
 
 // Export captures the cache's verdicts and persisted lemmas in portable
-// form. Concurrent use during export is safe; the snapshot is a consistent
-// enough view for persistence (individual entries are immutable once
-// written, so at worst a racing insert is missed).
+// form, scopes sorted by key so the same cache content always encodes to
+// the same bytes. Concurrent use during export is safe; the snapshot is a
+// consistent enough view for persistence (individual entries are
+// immutable once written, so at worst a racing insert is missed).
 func (c *SatCache) Export() *SatSnapshot {
 	snap := &SatSnapshot{Entries: make(map[string]bool)}
 	c.entries.Range(func(k, v any) bool {
@@ -65,6 +68,7 @@ func (c *SatCache) Export() *SatSnapshot {
 		st.mu.Unlock()
 		return true
 	})
+	sort.Slice(snap.Scopes, func(i, j int) bool { return snap.Scopes[i].Key < snap.Scopes[j].Key })
 	return snap
 }
 

@@ -113,6 +113,35 @@ func TestSnapshotRoundtrip(t *testing.T) {
 	}
 }
 
+// TestExportReproducible: two caches that learned the same lemmas export
+// the same snapshot bytes, in whatever order their scope maps range.
+func TestExportReproducible(t *testing.T) {
+	th := satCacheTheory()
+	contra := NewAnd(Cmp{Attr: "Gender", Op: OpEq, Val: String("M")}, Cmp{Attr: "Gender", Op: OpEq, Val: String("F")})
+	export := func() []byte {
+		c := NewSatCache()
+		for i := 0; i < 32; i++ {
+			// Each Age bound is a distinct atom set, hence a distinct scope.
+			c.Satisfiable(th, NewOr(contra, Cmp{Attr: "Age", Op: OpGe, Val: Int(int64(i))}))
+		}
+		snap := c.Export()
+		if len(snap.Scopes) < 2 {
+			t.Fatalf("exported %d lemma scopes, want several", len(snap.Scopes))
+		}
+		raw, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	first := export()
+	for run := 0; run < 3; run++ {
+		if again := export(); string(again) != string(first) {
+			t.Fatalf("run %d exported different bytes for the same cache content", run+1)
+		}
+	}
+}
+
 // TestSnapshotImportMalformed checks that damaged snapshot records are
 // skipped individually without panics or partial corruption.
 func TestSnapshotImportMalformed(t *testing.T) {

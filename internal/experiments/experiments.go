@@ -1,14 +1,13 @@
 // Package experiments implements the paper's evaluation (§4): the
 // Figure 4 hub-and-rim compilation-time grid, the Figure 9 SMO suite on
 // the 1002-entity chain model, the Figure 10 SMO suite on the synthetic
-// customer model, and the ablation studies listed in DESIGN.md. The
-// mapbench command prints the same series the paper reports; the
-// repository-level benchmarks wrap the same entry points in testing.B.
+// customer model, the ablation studies listed in DESIGN.md and the §6
+// view study. The mapbench command prints the same series the paper
+// reports; the committed benchmark in bench/ drives the same SMO suite.
 package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"github.com/ormkit/incmap/internal/compiler"
@@ -27,17 +26,6 @@ type Result struct {
 	Err error
 	// Note carries auxiliary information (cells visited, containments).
 	Note string
-	// Containments counts the containment checks the operation issued.
-	Containments int64
-	// Allocs is the number of heap allocations observed over the run
-	// (a runtime.MemStats Mallocs delta; approximate under concurrency).
-	Allocs uint64
-	// Fallbacks, Cancelled and PanicsRecovered record degradation events:
-	// full-compile fallbacks taken by the pipeline, compilations stopped by
-	// cancellation or deadline, and worker panics recovered into errors.
-	Fallbacks       int64
-	Cancelled       int64
-	PanicsRecovered int64
 }
 
 // String formats the result as a table row.
@@ -55,21 +43,13 @@ func (r Result) String() string {
 // FullCompile measures one full compilation.
 func FullCompile(m *frag.Mapping) (Result, *frag.Views) {
 	c := compiler.New()
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
 	start := time.Now()
 	views, err := c.Compile(m)
-	d := time.Since(start)
-	runtime.ReadMemStats(&ms1)
 	return Result{
-		Name:            "full",
-		D:               d,
-		Err:             err,
-		Note:            fmt.Sprintf("cells=%d containments=%d", c.Stats.CellsVisited, c.Stats.Containments),
-		Containments:    c.Stats.Containments,
-		Allocs:          ms1.Mallocs - ms0.Mallocs,
-		Cancelled:       c.Stats.Cancelled,
-		PanicsRecovered: c.Stats.PanicsRecovered,
+		Name: "full",
+		D:    time.Since(start),
+		Err:  err,
+		Note: fmt.Sprintf("cells=%d containments=%d", c.Stats.CellsVisited, c.Stats.Containments),
 	}, views
 }
 
@@ -87,24 +67,17 @@ type NamedOp struct {
 // the incremental compile itself.
 func RunOp(base *frag.Mapping, views *frag.Views, op NamedOp) Result {
 	ic := core.NewIncremental()
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
 	start := time.Now()
 	m := base.Clone()
 	smo, err := op.Make(m)
 	if err == nil {
 		_, _, err = ic.Apply(m, views, smo)
 	}
-	d := time.Since(start)
-	runtime.ReadMemStats(&ms1)
 	return Result{
-		Name:         op.Name,
-		D:            d,
-		Err:          err,
-		Note:         fmt.Sprintf("containments=%d", ic.Stats.Containments),
-		Containments: ic.Stats.Containments,
-		Allocs:       ms1.Mallocs - ms0.Mallocs,
-		Cancelled:    ic.Stats.Cancelled,
+		Name: op.Name,
+		D:    time.Since(start),
+		Err:  err,
+		Note: fmt.Sprintf("containments=%d", ic.Stats.Containments),
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/ormkit/incmap/internal/workload"
@@ -85,12 +86,21 @@ func TestAblations(t *testing.T) {
 	if len(sim) != 2 || sim[0].Err != nil {
 		t.Fatalf("simplifier ablation failed: %+v", sim)
 	}
+	// Without the outer-join eliminations the conservative containment
+	// approximations reject this valid SMO: the simplifier is needed for
+	// completeness, not only for speed.
+	if sim[1].Err == nil {
+		t.Error("unsimplified containment accepted the SMO")
+	}
 	nb := AblationNeighbourhood(30)
 	if len(nb) != 2 || nb[0].Err != nil || nb[1].Err != nil {
 		t.Fatalf("neighbourhood ablation failed: %+v", nb)
 	}
-	if nb[1].D < nb[0].D {
-		t.Logf("note: wide validation not slower on this tiny model (%v vs %v)", nb[1].D, nb[0].D)
+	var narrow, wide int
+	fmt.Sscanf(nb[0].Note, "containments=%d", &narrow)
+	fmt.Sscanf(nb[1].Note, "containments=%d", &wide)
+	if narrow != 1 || wide <= narrow {
+		t.Errorf("neighbourhood validation ran %d containments, all constraints %d; want 1 and more", narrow, wide)
 	}
 }
 
@@ -98,31 +108,5 @@ func TestResultString(t *testing.T) {
 	r := Result{Name: "AE-TPT", D: 1.5e9, Note: "containments=3"}
 	if s := r.String(); s == "" {
 		t.Fatal("empty result string")
-	}
-}
-
-// TestStreamSmall drives the streaming OLTP harness end to end at a toy
-// size: both write paths, the full streaming scan with concurrent SMOs,
-// the materializing baseline, and the acceptance verdict.
-func TestStreamSmall(t *testing.T) {
-	res, err := Stream(StreamOptions{Chain: 20, Rows: 3000, Batch: 64, Evolves: 2})
-	if err != nil {
-		t.Fatalf("stream: %v", err)
-	}
-	if res.Rows == 0 || res.StreamScanRows == 0 {
-		t.Fatalf("no rows flowed: %+v", res)
-	}
-	if res.EvolvesCommitted != 2 || res.EvolvesFailed != 0 {
-		t.Fatalf("concurrent evolves: %d committed %d failed, want 2/0", res.EvolvesCommitted, res.EvolvesFailed)
-	}
-	if res.MatHeldBytes == 0 {
-		t.Fatal("materializing baseline held no bytes; the comparison is vacuous")
-	}
-	if !res.Pass {
-		t.Fatalf("acceptance bound violated at toy size: stream peak %d vs materialize %d",
-			res.StreamPeakBytes, res.MatHeldBytes)
-	}
-	if res.QueryViews != 20 {
-		t.Fatalf("chain-20 compiled %d query views", res.QueryViews)
 	}
 }

@@ -32,11 +32,6 @@ type Fig4Options struct {
 	PointBudget time.Duration
 }
 
-// DefaultFig4Options keeps the default run under a couple of minutes.
-func DefaultFig4Options() Fig4Options {
-	return Fig4Options{MaxN: 4, MaxM: 8, PointBudget: 10 * time.Second}
-}
-
 // Fig4Row is one curve point of Figure 4.
 type Fig4Row struct {
 	N, M   int

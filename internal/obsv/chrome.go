@@ -88,9 +88,10 @@ func formatUint(v uint64) string {
 	return string(buf[i:])
 }
 
-// PhaseSummary aggregates spans by name: how many ran and how much
-// (possibly overlapping) time they cover. This is the per-phase breakdown
-// mapbench appends to its BENCH_*.json envelopes.
+// PhaseSummary aggregates spans by name: how many ran and the sum of
+// their inclusive durations. Spans nest and parallel workers overlap, so
+// the totals overlap too and do not add up to wall time; per-layer self
+// time comes from `bash bench/run.sh -trace`.
 type PhaseSummary struct {
 	Name    string  `json:"name"`
 	Count   int64   `json:"count"`

@@ -43,7 +43,6 @@ func TestServeSoakFaultInjected(t *testing.T) {
 	)
 
 	dir := t.TempDir()
-	var sink *obsv.RecordingSink
 	opts := Options{
 		Store:          testStore(t, dir),
 		WriteBehind:    true,
@@ -51,11 +50,7 @@ func TestServeSoakFaultInjected(t *testing.T) {
 		PersistBackoff: time.Millisecond,
 		QueueDepth:     queueDepth,
 	}
-	if os.Getenv("MAPSERVED_SOAK_TRACE") != "" {
-		sink = obsv.NewRecordingSink()
-		opts.Sink = sink
-		opts.Tracer = obsv.New(sink)
-	}
+	soakTrace(t, &opts)
 	srv, ts := testDaemon(t, opts)
 
 	prefixes := make(map[string]string, tenants)
@@ -214,17 +209,29 @@ func TestServeSoakFaultInjected(t *testing.T) {
 			t.Fatalf("restored %s flagged stale", name)
 		}
 	}
+}
 
-	if sink != nil {
-		path := os.Getenv("MAPSERVED_SOAK_TRACE")
+// soakTrace records the daemon's compilation spans when
+// MAPSERVED_SOAK_TRACE names a file, and writes them there as a Chrome
+// trace when the test ends, passed or failed.
+func soakTrace(t *testing.T, opts *Options) {
+	path := os.Getenv("MAPSERVED_SOAK_TRACE")
+	if path == "" {
+		return
+	}
+	sink := obsv.NewRecordingSink()
+	opts.Sink, opts.Tracer = sink, obsv.New(sink)
+	t.Cleanup(func() {
 		f, err := os.Create(path)
 		if err != nil {
-			t.Fatalf("trace output: %v", err)
+			t.Errorf("trace output: %v", err)
+			return
 		}
 		defer f.Close()
 		if err := obsv.WriteChromeTrace(f, sink.Spans()); err != nil {
-			t.Fatalf("writing trace: %v", err)
+			t.Errorf("writing trace: %v", err)
+			return
 		}
-		t.Logf("soak: Chrome trace written to %s", path)
-	}
+		t.Logf("Chrome trace written to %s", path)
+	})
 }
