@@ -167,7 +167,9 @@ func freezeAndCheckMemo(t *testing.T, what string, m *frag.Mapping, v *frag.View
 	}
 }
 
-// runDifferential executes one fuzz input. Inputs the incremental path
+// runDifferential executes one fuzz input. Each incremental step's
+// generation, written as a delta against the base generation, must rebuild
+// its own payload byte for byte (CheckDelta). Inputs the incremental path
 // cannot plan or apply are skipped — the fuzzer's job is to find
 // sequences both paths accept but disagree on, not to exercise error
 // paths. Once the incremental path succeeds, any failure or divergence on
@@ -195,6 +197,7 @@ func runDifferential(t *testing.T, wl, size byte, opBytes []byte, stateSeed uint
 		t.Fatalf("base workload (wl=%d size=%d) failed to compile: %v", wl, size, err)
 	}
 	freezeAndCheckMemo(t, "base generation", m, v)
+	first, firstViews := m, v
 	descs := make([]string, 0, len(specs))
 	for _, sp := range specs {
 		var desc string
@@ -208,6 +211,9 @@ func runDifferential(t *testing.T, wl, size byte, opBytes []byte, stateSeed uint
 			t.Fatalf("after incremental %s: %v", desc, err)
 		}
 		freezeAndCheckMemo(t, "after incremental "+desc, nm, nv)
+		if _, err := CheckDelta(first, firstViews, nm, nv); err != nil {
+			t.Fatalf("after incremental %s, over the base generation: %v", desc, err)
+		}
 		m, v = nm, nv
 	}
 

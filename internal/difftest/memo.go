@@ -3,7 +3,9 @@ package difftest
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
+	"strings"
 
 	"github.com/ormkit/incmap/internal/frag"
 	"github.com/ormkit/incmap/internal/modelio"
@@ -55,6 +57,36 @@ func CheckMemo(m *frag.Mapping, v *frag.Views) error {
 		return fmt.Errorf("memo: HashMapping does not hash the mapping document")
 	}
 	return nil
+}
+
+// CheckDelta writes the generation (m, v) as a delta against the
+// generation (bm, bv) and holds the payload modelio.ApplyDelta rebuilds
+// from the base's payload to the one EncodeGeneration writes for (m, v),
+// byte for byte. It returns the delta.
+func CheckDelta(bm *frag.Mapping, bv *frag.Views, m *frag.Mapping, v *frag.Views) ([]byte, error) {
+	base, err := modelio.EncodeGeneration(bm, bv)
+	if err != nil {
+		return nil, fmt.Errorf("delta: EncodeGeneration of the base: %w", err)
+	}
+	p, err := modelio.EncodeGeneration(m, v)
+	if err != nil {
+		return nil, fmt.Errorf("delta: EncodeGeneration: %w", err)
+	}
+	delta, err := modelio.AppendDelta(nil, "00112233445566778899aabbccddeeff", strings.Repeat("0", 64), bm, bv, m, v)
+	if err != nil {
+		return nil, fmt.Errorf("delta: AppendDelta: %w", err)
+	}
+	if !json.Valid(delta) {
+		return nil, fmt.Errorf("delta: not valid JSON: %.200s", delta)
+	}
+	got, err := modelio.ApplyDelta(base.AppendTo(nil), delta)
+	if err != nil {
+		return nil, fmt.Errorf("delta: ApplyDelta: %w", err)
+	}
+	if want := p.AppendTo(nil); !bytes.Equal(got, want) {
+		return nil, fmt.Errorf("delta: the rebuilt payload differs from the generation's: %s", firstDiff(got, want))
+	}
+	return delta, nil
 }
 
 // firstDiff describes where two encodings part.

@@ -211,7 +211,9 @@ func TestAppendMatchesOracleOnEdgeShapes(t *testing.T) {
 // generations carry every shape the encoders write; the test checks each
 // shape occurred. The base and every generation are frozen, as a session
 // freezes them, so each generation encodes from the base's entry records,
-// and the memo oracle (difftest.CheckMemo) holds it to its deep copy.
+// and the memo oracle (difftest.CheckMemo) holds it to its deep copy. Each
+// generation, written as a delta against the base, must rebuild its own
+// payload byte for byte (checkDelta).
 func TestAppendMatchesOracleOnSuiteGenerations(t *testing.T) {
 	entity := func(i int) string { return fmt.Sprintf("Entity%d", i) }
 	mid := chainSize / 2
@@ -261,6 +263,7 @@ func TestAppendMatchesOracleOnSuiteGenerations(t *testing.T) {
 			if err := difftest.CheckMemo(m2, v2); err != nil {
 				t.Fatalf("%s %s: %v", tc.name, op.Name, err)
 			}
+			checkDelta(t, tc.name+" "+op.Name, base, views, m2, v2)
 			mb, vb := checkEncoders(t, tc.name+" "+op.Name, m2, v2)
 			all = append(all, mb, vb)
 			generations++

@@ -27,25 +27,27 @@ import (
 
 // section holds the records of one list of a document, in document order.
 // by indexes them by entry identity for the generations cloned from this
-// one; it is built at their first lookup. keys keep the entries alive, so
-// no other entry can take an indexed one's address.
+// one and the deltas written against it; it is built at their first
+// lookup. keys keep the entries alive, so no other entry can take an
+// indexed one's address.
 type section[K comparable] struct {
 	keys []K
 	recs [][]byte
 
 	once sync.Once
-	by   map[K][]byte
+	by   map[K]int
 }
 
-func (s *section[K]) lookup(k K) ([]byte, bool) {
+// index returns the position of entry k in the section.
+func (s *section[K]) index(k K) (int, bool) {
 	s.once.Do(func() {
-		s.by = make(map[K][]byte, len(s.keys))
+		s.by = make(map[K]int, len(s.keys))
 		for i, k := range s.keys {
-			s.by[k] = s.recs[i]
+			s.by[k] = i
 		}
 	})
-	rec, ok := s.by[k]
-	return rec, ok
+	i, ok := s.by[k]
+	return i, ok
 }
 
 // recorder encodes the entries no base record covers into one buffer
@@ -67,8 +69,8 @@ type pendingRecord struct {
 func fill[K comparable](b *recorder, s *section[K], keys []K, base *section[K], enc func(*encoder, K)) {
 	s.keys, s.recs = keys, make([][]byte, len(keys))
 	for i, k := range keys {
-		if rec, ok := base.lookup(k); ok {
-			s.recs[i] = rec
+		if j, ok := base.index(k); ok {
+			s.recs[i] = base.recs[j]
 			continue
 		}
 		start := len(b.e.b)
@@ -185,12 +187,17 @@ func buildMappingRecords(m *frag.Mapping, base *mappingRecords) (*mappingRecords
 		return nil, b.e.err
 	}
 	b.finish()
+	r.measure()
+	return r, nil
+}
+
+// measure sets size from the records.
+func (r *mappingRecords) measure() {
 	r.size = len(pTypes) + r.types.listLen() + len(pSets) + r.sets.listLen() +
 		len(pTables) + r.tables.listLen() + len(pFrags) + r.frags.listLen() + len(pEnd)
 	if len(r.assocs.recs) > 0 {
 		r.size += len(pAssocs) + r.assocs.listLen()
 	}
-	return r, nil
 }
 
 // each emits the mapping document a piece at a time.
@@ -248,8 +255,7 @@ func buildViewRecords(v *frag.Views, base *viewRecords) (*viewRecords, error) {
 		base = &viewRecords{}
 	}
 	var b recorder
-	r := &viewRecords{size: len("{}")}
-	present := 0
+	r := &viewRecords{}
 	for p, part := range viewParts {
 		m := part.views(v)
 		names := appendSortedKeys(make([]string, 0, len(m)), m)
@@ -262,24 +268,29 @@ func buildViewRecords(v *frag.Views, base *viewRecords) (*viewRecords, error) {
 		if b.e.err != nil {
 			return nil, fmt.Errorf("modelio: view %q: %w", names[b.failed], b.e.err)
 		}
-		if len(names) == 0 {
+	}
+	b.finish()
+	r.measure()
+	return r, nil
+}
+
+// measure sets size from the names and records.
+func (r *viewRecords) measure() {
+	r.size = len("{}")
+	present := 0
+	for p := range r.parts {
+		part := &r.parts[p]
+		if len(part.names) == 0 {
 			continue
 		}
 		if present++; present > 1 {
 			r.size++ // the comma between maps
 		}
-		r.size += len(part.field) + len("}") + len(names) - 1 // field, close, commas
-		for _, name := range names {
-			r.size += quotedLen(name) + len(":")
+		r.size += len(viewParts[p].field) + len("}") + len(part.names) - 1 // field, close, commas
+		for i, name := range part.names {
+			r.size += quotedLen(name) + len(":") + len(part.views.recs[i])
 		}
 	}
-	b.finish()
-	for p := range r.parts {
-		for _, rec := range r.parts[p].views.recs {
-			r.size += len(rec)
-		}
-	}
-	return r, nil
 }
 
 func (r *viewRecords) appendTo(dst []byte) []byte {

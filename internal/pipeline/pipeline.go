@@ -220,6 +220,13 @@ type Session struct {
 	persistMu  sync.Mutex
 	persistErr error
 
+	// base is the full generation record of the session's lineage last
+	// known to be on disk, which persists write deltas against
+	// (store.SaveCommit). baseMu guards it, as write-behind persists set it
+	// from their own goroutines.
+	baseMu sync.Mutex
+	base   *store.Base
+
 	// evolveMu serializes Evolve/Propose/Rollback calls; mu guards only
 	// the chain and the proposal so readers never block behind a long
 	// compilation. The chain is never empty: its last entry is the head.
@@ -230,7 +237,9 @@ type Session struct {
 }
 
 // NewSession starts a session at an already compiled generation (a mapping
-// and the views the full or incremental compiler produced for it).
+// and the views the full or incremental compiler produced for it). When
+// Options.Store wrote or loaded the generation's full record, that record
+// is the session's base: its commits persist as deltas against it.
 func NewSession(m *frag.Mapping, v *frag.Views, opts Options) *Session {
 	return newSession(opts.generation(m, v), opts)
 }
@@ -241,6 +250,7 @@ func newSession(g Generation, opts Options) *Session {
 	s := &Session{opts: opts}
 	if opts.Store != nil {
 		s.satCache = s.opts.sharedSatCache()
+		s.base = opts.Store.BaseFor(g.FP, g.M, g.V)
 	}
 	g.Seq = 1
 	s.chain = []Generation{g}
@@ -435,7 +445,9 @@ func (s *Session) persist(g Generation) {
 }
 
 // persistOnce is one snapshot attempt: the generation record under g.FP,
-// then the SatCache snapshot. The first failure aborts the attempt.
+// a delta against the session's base or a full record that becomes the
+// base (store.SaveCommit), then the SatCache snapshot. The first failure
+// aborts the attempt.
 func (s *Session) persistOnce(g Generation) error {
 	if err := faultinject.At(faultinject.SiteSessionPersist); err != nil {
 		return err
@@ -443,7 +455,18 @@ func (s *Session) persistOnce(g Generation) error {
 	if g.FP == "" {
 		return errNoFingerprint
 	}
-	if err := s.opts.Store.SaveGeneration(g.FP, g.M, g.V); err != nil {
+	s.baseMu.Lock()
+	base := s.base
+	s.baseMu.Unlock()
+	// A full record written is the new base once its write has returned,
+	// so no delta can reach the disk before the record it names.
+	nb, err := s.opts.Store.SaveCommit(g.FP, g.M, g.V, base)
+	if nb != base {
+		s.baseMu.Lock()
+		s.base = nb
+		s.baseMu.Unlock()
+	}
+	if err != nil {
 		return err
 	}
 	atomic.AddInt64(&s.stats.Snapshots, 1)

@@ -740,7 +740,13 @@ func (r *rollout) persistProgress(phase string, batchRows int) bool {
 	if err != nil {
 		return false
 	}
-	return st.SaveManifest(rolloutManifestName(r.t.name), payload) == nil
+	// The checkpoint references the staged generation, so the store keeps
+	// its record for the resume.
+	var refs []string
+	if cp.ToFP != "" {
+		refs = append(refs, cp.ToFP)
+	}
+	return st.SaveManifest(rolloutManifestName(r.t.name), payload, refs...) == nil
 }
 
 func (r *rollout) deleteCheckpoints() {

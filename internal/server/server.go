@@ -244,7 +244,8 @@ func (s *Server) restoreTenants() {
 	}
 }
 
-// saveManifest persists the current tenant table. Failures leave the
+// saveManifest persists the current tenant table, referencing each
+// tenant's head so the store keeps its record. Failures leave the
 // previous manifest in place; the next commit retries, and Drain surfaces
 // the error.
 func (s *Server) saveManifest() error {
@@ -252,12 +253,16 @@ func (s *Server) saveManifest() error {
 		return nil
 	}
 	man := tenantManifest{Tenants: map[string]manifestEntry{}}
+	var heads []string
 	s.mu.RLock()
 	for name, t := range s.tenants {
 		if t == nil {
 			continue // registration in flight
 		}
 		head := t.session.Head()
+		if head.FP != "" {
+			heads = append(heads, head.FP)
+		}
 		man.Tenants[name] = manifestEntry{
 			Fingerprint:     head.FP,
 			Generation:      t.generation(head),
@@ -272,7 +277,7 @@ func (s *Server) saveManifest() error {
 	}
 	s.manifestMu.Lock()
 	defer s.manifestMu.Unlock()
-	return s.opts.Store.SaveManifest(manifestName, payload)
+	return s.opts.Store.SaveManifest(manifestName, payload, heads...)
 }
 
 // Restored reports how many tenants the daemon recovered from the

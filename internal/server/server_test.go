@@ -416,6 +416,39 @@ func TestServerRestartWarmStartsTenants(t *testing.T) {
 	}
 }
 
+// TestServerRestartRestoresTenantsBeyondCap registers more tenants than
+// the store keeps generations: the tenant manifest references every
+// tenant's head, so pruning keeps each one (and a delta head's base), and
+// a restarted daemon restores every tenant.
+func TestServerRestartRestoresTenantsBeyondCap(t *testing.T) {
+	const tenants, maxGenerations = 6, 3
+	dir := t.TempDir()
+	capped := func() *store.Store {
+		st := testStore(t, dir)
+		st.MaxGenerations = maxGenerations
+		return st
+	}
+	srv, ts := testDaemon(t, Options{Store: capped(), WriteBehind: true})
+	for i := 0; i < tenants; i++ {
+		registerChain(t, ts.URL, fmt.Sprintf("t%d", i), fmt.Sprintf("T%d", i), 4)
+	}
+	for i := 0; i < tenants; i += 2 {
+		name := fmt.Sprintf("t%d", i)
+		if resp, _, err := evolveAddEntity(ts.URL, name, "New", fmt.Sprintf("T%dEntity1", i)); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("evolve %s: %v", name, err)
+		}
+	}
+	ctx, cancel := testContext(t, 10*time.Second)
+	defer cancel()
+	if err := srv.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	srv2, _ := testDaemon(t, Options{Store: capped()})
+	if got := srv2.Restored(); got != tenants {
+		t.Fatalf("restored %d tenants, want %d", got, tenants)
+	}
+}
+
 // TestServerFaultDamagedStoreDegradesToCold corrupts a tenant's
 // generation record between daemon lifetimes: the restarted daemon must
 // skip the tenant (no partial serve) and a re-registration must compile

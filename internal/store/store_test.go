@@ -240,16 +240,17 @@ func TestRecordBytesMatchMarshal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SaveManifest("tenants", man); err != nil {
+	if err := s.SaveManifest("tenants", man, "00ff", "a1"); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(file(manifestFileName("tenants")), marshalRecord(t, classManifest, "tenants", man)) {
+	wrapped := fmt.Sprintf(`{"refs":["00ff","a1"],"manifest":%s}`, man)
+	if !bytes.Equal(file(manifestFileName("tenants")), marshalRecord(t, classManifest, "tenants", []byte(wrapped))) {
 		t.Error("manifest record differs from json.Marshal")
 	}
 
 	for _, fp := range []string{"", "odd \"fp\" <&> \\ \u2029"} {
 		payload := []byte(`{"mapping":null,"views":{}}`)
-		if err := s.writeRecord("odd.json", classGeneration, fp, append(newRecord(classGeneration, fp, len(payload)), payload...)); err != nil {
+		if _, err := s.writeRecord("odd.json", classGeneration, fp, append(newRecord(classGeneration, fp, len(payload)), payload...)); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(file("odd.json"), marshalRecord(t, classGeneration, fp, payload)) {
@@ -456,12 +457,12 @@ func TestEnvelopeErrorsAreDistinct(t *testing.T) {
 	good := string(appendRecord(nil, classGeneration, fp, payload))
 	sum := checksumOf(FormatVersion, classGeneration, fp, payload)
 	for _, tc := range []struct{ name, rec, want string }{
-		{"version", strings.Replace(good, `{"version":1,`, `{"version":12,`, 1), "format version 12"},
+		{"version", strings.Replace(good, fmt.Sprintf(`{"version":%d,`, FormatVersion), `{"version":12,`, 1), "format version 12"},
 		{"class", strings.Replace(good, `"class":"generation"`, `"class":"satcache"`, 1), "class mismatch"},
 		{"fingerprint", strings.Replace(good, fp, "feedface", 1), "fingerprint mismatch"},
 		{"no fingerprint", strings.Replace(good, `,"fingerprint":"`+fp+`"`, "", 1), "fingerprint mismatch"},
 		{"checksum", strings.Replace(good, sum, strings.Repeat("0", len(sum)), 1), "checksum mismatch"},
-		{"reordered", `{"class":"generation","version":1,"fingerprint":"` + fp + `","payload":` + string(payload) + `,"sha256":"` + sum + `"}`, "corrupt record"},
+		{"reordered", fmt.Sprintf(`{"class":"generation","version":%d,"fingerprint":"`, FormatVersion) + fp + `","payload":` + string(payload) + `,"sha256":"` + sum + `"}`, "corrupt record"},
 		{"spaced", strings.Replace(good, `"payload":`, `"payload" :`, 1), "corrupt record"},
 		{"space in payload", strings.Replace(good, `"payload":`, `"payload": `, 1), "checksum mismatch"},
 		{"trailing newline", good + "\n", "corrupt record"},
