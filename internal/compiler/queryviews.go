@@ -99,8 +99,10 @@ type Stats struct {
 	Implications   int64
 	Containments   int64
 	EquivalenceOps int64
-	// CacheHits and CacheMisses count satisfiability-cache lookups issued by
-	// this compilation (view assembly, validation, and containment checks).
+	// CacheHits and CacheMisses count this compilation's decisions (view
+	// assembly, validation, and containment checks) served from the
+	// satisfiability cache and solved; type-only decisions are neither
+	// (cond.SatCacheStats.TypeOnly).
 	CacheHits   int64
 	CacheMisses int64
 	// Workers is the validation worker count the compilation ran with.
@@ -156,11 +158,12 @@ func (c *Compiler) satCache() *cond.SatCache {
 
 func (c *Compiler) addEquivalenceOp() { atomic.AddInt64(&c.Stats.EquivalenceOps, 1) }
 
-func (c *Compiler) countCache(hit bool) {
-	if hit {
+func (c *Compiler) countCache(d cond.Decision) {
+	switch d {
+	case cond.Cached:
 		atomic.AddInt64(&c.Stats.CacheHits, 1)
 		mCacheHits.Add(1)
-	} else {
+	case cond.Solved:
 		atomic.AddInt64(&c.Stats.CacheMisses, 1)
 		mCacheMisses.Add(1)
 	}
@@ -180,14 +183,14 @@ func outcome(err error) string {
 // satisfiable, implies, equivalent and disjoint are the compiler's
 // cache-backed decision procedures.
 func (c *Compiler) satisfiable(t cond.Theory, x cond.Expr) bool {
-	v, hit := c.satCache().SatisfiableHit(t, x)
-	c.countCache(hit)
+	v, d := c.satCache().SatisfiableHit(t, x)
+	c.countCache(d)
 	return v
 }
 
 func (c *Compiler) implies(t cond.Theory, a, b cond.Expr) bool {
-	v, hit := c.satCache().ImpliesHit(t, a, b)
-	c.countCache(hit)
+	v, d := c.satCache().ImpliesHit(t, a, b)
+	c.countCache(d)
 	return v
 }
 
@@ -196,8 +199,8 @@ func (c *Compiler) equivalent(t cond.Theory, a, b cond.Expr) bool {
 }
 
 func (c *Compiler) disjoint(t cond.Theory, a, b cond.Expr) bool {
-	v, hit := c.satCache().DisjointHit(t, a, b)
-	c.countCache(hit)
+	v, d := c.satCache().DisjointHit(t, a, b)
+	c.countCache(d)
 	return v
 }
 

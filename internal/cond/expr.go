@@ -312,10 +312,13 @@ func atomOf(x Expr) (Atom, bool) {
 
 // Atoms returns the distinct atoms of the expression in a deterministic
 // order. Composite nodes memoize the result at construction, so repeated
-// calls on interned trees are O(1). Callers must not modify the returned
-// slice.
+// calls on interned trees are O(1), and a bare atom is its own list.
+// Callers must not modify the returned slice.
 func Atoms(x Expr) []Atom {
 	switch v := x.(type) {
+	case TypeIs, Null, Cmp:
+		a, _ := atomOf(x)
+		return []Atom{a}
 	case *Not:
 		if v.atoms != nil {
 			return v.atoms

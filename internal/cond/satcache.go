@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"github.com/ormkit/incmap/internal/faultinject"
+	"github.com/ormkit/incmap/internal/obsv"
 )
 
 // SatCache memoizes the theory-level decision procedures (Satisfiable,
@@ -24,13 +25,18 @@ import (
 // All derived procedures reduce to Satisfiable before keying, so e.g.
 // Implies(a, b), Disjoint(a, ¬b) and Satisfiable(a ∧ ¬b) share one entry.
 //
+// A query whose atoms are all type atoms of one typed subject never reaches
+// the key: it is decided as a set of concrete types (typeset.go), and
+// counted apart from hits and misses.
+//
 // A SatCache is safe for concurrent use. The zero value is not usable;
 // construct with NewSatCache.
 type SatCache struct {
-	entries sync.Map // string -> verdict
-	hits    atomic.Int64
-	misses  atomic.Int64
-	size    atomic.Int64
+	entries  sync.Map // string -> verdict
+	hits     atomic.Int64
+	misses   atomic.Int64
+	typeOnly atomic.Int64
+	size     atomic.Int64
 	// maxEntries bounds memory: once reached, new verdicts are computed but
 	// not stored.
 	maxEntries int64
@@ -63,6 +69,9 @@ type SatCacheStats struct {
 	Hits    int64
 	Misses  int64
 	Entries int64
+	// TypeOnly counts decisions made as sets of concrete types (typeset.go):
+	// no key, entry or solver run, so they are neither hits nor misses.
+	TypeOnly int64
 	// LemmaHits counts persisted lemmas re-installed into cache-miss solver
 	// runs; LemmasStored counts clauses persisted by those runs.
 	LemmaHits    int64
@@ -106,6 +115,7 @@ func (c *SatCache) Stats() SatCacheStats {
 		Hits:            c.hits.Load(),
 		Misses:          c.misses.Load(),
 		Entries:         c.size.Load(),
+		TypeOnly:        c.typeOnly.Load(),
 		LemmaHits:       c.lemmaHits.Load(),
 		LemmasStored:    c.lemmasStored.Load(),
 		ScopeEvictions:  c.scopeEvictions.Load(),
@@ -127,6 +137,7 @@ func (c *SatCache) Reset() {
 	})
 	c.hits.Store(0)
 	c.misses.Store(0)
+	c.typeOnly.Store(0)
 	c.size.Store(0)
 	c.scopeCount.Store(0)
 	c.scopeEvictions.Store(0)
@@ -139,17 +150,41 @@ func (c *SatCache) Reset() {
 	c.scopeClock.mu.Unlock()
 }
 
+// Decision says how a SatCache reached a verdict.
+type Decision uint8
+
+const (
+	// Solved is a cache miss: a solver run decided, and the cache keeps
+	// its verdict.
+	Solved Decision = iota
+	// Cached is a cache hit.
+	Cached
+	// TypeOnly is a type-only query decided as a set of concrete types,
+	// with no key, cache entry or solver run.
+	TypeOnly
+)
+
+var mTypeOnly = obsv.Metrics().Counter(obsv.MSatCacheTypeOnly)
+
 // Satisfiable is the memoized form of the package-level Satisfiable.
 func (c *SatCache) Satisfiable(t Theory, x Expr) bool {
 	v, _ := c.SatisfiableHit(t, x)
 	return v
 }
 
-// SatisfiableHit reports the verdict and whether it was served from cache.
-func (c *SatCache) SatisfiableHit(t Theory, x Expr) (sat, hit bool) {
+// SatisfiableHit reports the verdict and how it was reached.
+func (c *SatCache) SatisfiableHit(t Theory, x Expr) (bool, Decision) {
 	// Fault-injection hook: lookups cannot propagate an error, so only
 	// injected panics and delays take effect here.
 	faultinject.At(faultinject.SiteSatCache) //nolint:errcheck
+	return c.decide(t, x)
+}
+
+// decide is SatisfiableHit after its fault hook.
+func (c *SatCache) decide(t Theory, x Expr) (bool, Decision) {
+	if s, ok := typeOnlySets(t, x); ok {
+		return meets(s[0], s[0], false), c.countTypeOnly()
+	}
 	atoms := Atoms(x)
 
 	// The theory fingerprint is shared by the verdict key (expr + theory)
@@ -170,7 +205,7 @@ func (c *SatCache) SatisfiableHit(t Theory, x Expr) (sat, hit bool) {
 		if vd.persisted {
 			c.persistedHits.Add(1)
 		}
-		return vd.sat, true
+		return vd.sat, Cached
 	}
 	c.misses.Add(1)
 
@@ -192,7 +227,13 @@ func (c *SatCache) SatisfiableHit(t Theory, x Expr) (sat, hit bool) {
 			c.size.Add(1)
 		}
 	}
-	return v, false
+	return v, Solved
+}
+
+func (c *SatCache) countTypeOnly() Decision {
+	c.typeOnly.Add(1)
+	mTypeOnly.Add(1)
+	return TypeOnly
 }
 
 // scopeStore returns the lemma store for a solver scope, creating it if
@@ -279,10 +320,15 @@ func (c *SatCache) Implies(t Theory, a, b Expr) bool {
 	return v
 }
 
-// ImpliesHit reports the verdict and whether it was served from cache.
-func (c *SatCache) ImpliesHit(t Theory, a, b Expr) (implies, hit bool) {
-	sat, hit := c.SatisfiableHit(t, NewAnd(a, NewNot(b)))
-	return !sat, hit
+// ImpliesHit reports the verdict and how it was reached. A type-only pair
+// is decided before a ∧ ¬b is built, so it interns no node.
+func (c *SatCache) ImpliesHit(t Theory, a, b Expr) (bool, Decision) {
+	faultinject.At(faultinject.SiteSatCache) //nolint:errcheck
+	if s, ok := typeOnlySets(t, a, b); ok {
+		return !meets(s[0], s[1], true), c.countTypeOnly()
+	}
+	sat, d := c.decide(t, NewAnd(a, NewNot(b)))
+	return !sat, d
 }
 
 // Disjoint is the memoized form of the package-level Disjoint.
@@ -291,10 +337,15 @@ func (c *SatCache) Disjoint(t Theory, a, b Expr) bool {
 	return v
 }
 
-// DisjointHit reports the verdict and whether it was served from cache.
-func (c *SatCache) DisjointHit(t Theory, a, b Expr) (disjoint, hit bool) {
-	sat, hit := c.SatisfiableHit(t, NewAnd(a, b))
-	return !sat, hit
+// DisjointHit reports the verdict and how it was reached, deciding a
+// type-only pair as ImpliesHit does.
+func (c *SatCache) DisjointHit(t Theory, a, b Expr) (bool, Decision) {
+	faultinject.At(faultinject.SiteSatCache) //nolint:errcheck
+	if s, ok := typeOnlySets(t, a, b); ok {
+		return !meets(s[0], s[1], false), c.countTypeOnly()
+	}
+	sat, d := c.decide(t, NewAnd(a, b))
+	return !sat, d
 }
 
 // Tautology is the memoized form of the package-level Tautology.

@@ -131,7 +131,7 @@ func TestSatCacheSharedEntries(t *testing.T) {
 	b := Expr(Cmp{Attr: "A", Op: OpGt, Val: Int(0)})
 	c := NewSatCache()
 	c.Implies(th, a, b) // caches SAT(a ∧ ¬b)
-	if _, hit := c.SatisfiableHit(th, NewAnd(a, NewNot(b))); !hit {
+	if _, d := c.SatisfiableHit(th, NewAnd(a, NewNot(b))); d != Cached {
 		t.Fatal("Implies should share its entry with the reduced Satisfiable query")
 	}
 	c.Disjoint(th, a, NewNot(b)) // same query again
@@ -149,7 +149,7 @@ func TestSatCacheReset(t *testing.T) {
 	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
 		t.Fatalf("Reset left state behind: %+v", st)
 	}
-	if _, hit := c.SatisfiableHit(FreeTheory, Cmp{Attr: "A", Op: OpEq, Val: Int(1)}); hit {
+	if _, d := c.SatisfiableHit(FreeTheory, Cmp{Attr: "A", Op: OpEq, Val: Int(1)}); d != Solved {
 		t.Fatal("Reset should drop cached entries")
 	}
 }

@@ -91,11 +91,11 @@ func TestSnapshotRoundtrip(t *testing.T) {
 
 	c2 := NewSatCache()
 	c2.Import(&back)
-	if got, hit := c2.SatisfiableHit(th, q1); !hit || got != want1 {
-		t.Fatalf("imported verdict for q1 not served from cache: hit=%v got=%v", hit, got)
+	if got, d := c2.SatisfiableHit(th, q1); d != Cached || got != want1 {
+		t.Fatalf("imported verdict for q1 not served from cache: decision=%v got=%v", d, got)
 	}
-	if got, hit := c2.SatisfiableHit(th, q2); !hit || got != want2 {
-		t.Fatalf("imported verdict for q2 not served from cache: hit=%v got=%v", hit, got)
+	if got, d := c2.SatisfiableHit(th, q2); d != Cached || got != want2 {
+		t.Fatalf("imported verdict for q2 not served from cache: decision=%v got=%v", d, got)
 	}
 	if st := c2.Stats(); st.PersistedHits != 2 {
 		t.Fatalf("persisted hits not counted: %+v", st)

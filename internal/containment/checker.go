@@ -30,8 +30,9 @@ type Stats struct {
 	BlockPairs int64
 	// Implications is the number of theory implication checks issued.
 	Implications int64
-	// CacheHits and CacheMisses count decision-cache lookups (zero when no
-	// cache is attached).
+	// CacheHits and CacheMisses count decisions served from the decision
+	// cache and solved (zero when no cache is attached); type-only
+	// decisions are neither (cond.SatCacheStats.TypeOnly).
 	CacheHits   int64
 	CacheMisses int64
 }
@@ -70,10 +71,11 @@ func NewChecker(cat *cqt.Catalog) *Checker {
 	return &Checker{Cat: cat, Simplify: true}
 }
 
-func (ch *Checker) countCache(hit bool) {
-	if hit {
+func (ch *Checker) countCache(d cond.Decision) {
+	switch d {
+	case cond.Cached:
 		atomic.AddInt64(&ch.Stats.CacheHits, 1)
-	} else {
+	case cond.Solved:
 		atomic.AddInt64(&ch.Stats.CacheMisses, 1)
 	}
 }
@@ -82,8 +84,8 @@ func (ch *Checker) satisfiable(t cond.Theory, x cond.Expr) bool {
 	if ch.Cache == nil {
 		return cond.Satisfiable(t, x)
 	}
-	v, hit := ch.Cache.SatisfiableHit(t, x)
-	ch.countCache(hit)
+	v, d := ch.Cache.SatisfiableHit(t, x)
+	ch.countCache(d)
 	return v
 }
 
@@ -91,8 +93,8 @@ func (ch *Checker) implies(t cond.Theory, a, b cond.Expr) bool {
 	if ch.Cache == nil {
 		return cond.Implies(t, a, b)
 	}
-	v, hit := ch.Cache.ImpliesHit(t, a, b)
-	ch.countCache(hit)
+	v, d := ch.Cache.ImpliesHit(t, a, b)
+	ch.countCache(d)
 	return v
 }
 

@@ -85,8 +85,9 @@ type Stats struct {
 	Implications int64
 	AdaptedViews int64
 	BuiltViews   int64
-	// CacheHits and CacheMisses count satisfiability-cache lookups issued
-	// by incremental validation.
+	// CacheHits and CacheMisses count incremental validation's decisions
+	// served from the satisfiability cache and solved; type-only decisions
+	// are neither (cond.SatCacheStats.TypeOnly).
 	CacheHits   int64
 	CacheMisses int64
 	// Cancelled counts Apply calls stopped by context cancellation or
@@ -298,10 +299,11 @@ func (ic *Incremental) satCache() *cond.SatCache {
 	return ic.cache
 }
 
-func (ic *Incremental) countCache(hit bool) {
-	if hit {
+func (ic *Incremental) countCache(d cond.Decision) {
+	switch d {
+	case cond.Cached:
 		ic.Stats.CacheHits++
-	} else {
+	case cond.Solved:
 		ic.Stats.CacheMisses++
 	}
 }
@@ -310,20 +312,20 @@ func (ic *Incremental) countCache(hit bool) {
 // compiler's cache-backed decision procedures, used by the SMO
 // neighbourhood checks.
 func (ic *Incremental) satisfiable(t cond.Theory, x cond.Expr) bool {
-	v, hit := ic.satCache().SatisfiableHit(t, x)
-	ic.countCache(hit)
+	v, d := ic.satCache().SatisfiableHit(t, x)
+	ic.countCache(d)
 	return v
 }
 
 func (ic *Incremental) implies(t cond.Theory, a, b cond.Expr) bool {
-	v, hit := ic.satCache().ImpliesHit(t, a, b)
-	ic.countCache(hit)
+	v, d := ic.satCache().ImpliesHit(t, a, b)
+	ic.countCache(d)
 	return v
 }
 
 func (ic *Incremental) disjoint(t cond.Theory, a, b cond.Expr) bool {
-	v, hit := ic.satCache().DisjointHit(t, a, b)
-	ic.countCache(hit)
+	v, d := ic.satCache().DisjointHit(t, a, b)
+	ic.countCache(d)
 	return v
 }
 

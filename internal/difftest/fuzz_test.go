@@ -39,7 +39,27 @@ func fzEntityName(idx int) string { return fmt.Sprintf("FzEntity%d", idx) }
 // fully independent mapping: the SMO planner mutates the store schema of
 // the mapping it plans against, so the two differential paths must never
 // share one.
+//
+// wl ≥ 0x80 selects a small customer model, Figure 10's shape: a TPH
+// table that carries association fragments, next to TPT and TPH
+// hierarchies. Below it, wl%3 selects a chain, a hub-rim TPH or a hub-rim
+// TPT model, so the committed corpus decodes as it did before the customer
+// model joined.
 func buildWorkload(wl, size byte) (*frag.Mapping, []string, error) {
+	if wl >= 0x80 {
+		m, err := workload.CustomerE(workload.CustomerOptions{
+			Types: 12 + int(size)%5, Hierarchies: 4, LargestTPH: 5 + int(size/8)%3,
+			Associations: 2, SharedTableFKs: 2,
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		var names []string
+		for _, ty := range m.Client.Types() {
+			names = append(names, ty.Name)
+		}
+		return m, names, nil
+	}
 	switch wl % 3 {
 	case 0:
 		n := 2 + int(size)%4
@@ -275,17 +295,37 @@ func runDifferential(t *testing.T, wl, size byte, opBytes []byte, stateSeed uint
 	}
 }
 
+// customerSeeds are one seed per SMO kind on the customer workload
+// (buildWorkload with wl ≥ 0x80).
+var customerSeeds = []struct {
+	name string
+	size byte
+	ops  []byte
+	seed uint32
+}{
+	{"ae-tph", 0, []byte{6, 1}, 21},
+	{"ae-tpt", 1, []byte{0, 5}, 22},
+	{"ae-tpc", 2, []byte{3, 12}, 23},
+	{"aa-fk", 3, []byte{1, 0x41}, 24},
+	{"aa-jt", 4, []byte{0x82, 0x51}, 25},
+	{"ap", 8, []byte{2, 2}, 26},
+}
+
 // FuzzSMOSequence is the native fuzz target. Bytes decode to (workload,
 // size, SMO sequence, state seed); see runDifferential for the oracle.
 func FuzzSMOSequence(f *testing.F) {
-	// The in-code seeds mirror testdata/fuzz/FuzzSMOSequence and cover
-	// every op kind and both workload families.
+	// The first six in-code seeds mirror testdata/fuzz/FuzzSMOSequence and
+	// cover every op kind on the chain and hub-rim families; the customer
+	// seeds follow.
 	f.Add(byte(0), byte(2), []byte{0, 0, 0, 1}, uint32(1))           // chain: AE-TPT ×2
 	f.Add(byte(0), byte(1), []byte{6, 0, 2, 0}, uint32(7))           // chain: AE-TPH, AP
 	f.Add(byte(0), byte(3), []byte{1, 0x21, 0x85, 0x43}, uint32(3))  // chain: AA-FK, AA-JT
 	f.Add(byte(1), byte(2), []byte{0, 0, 2, 1}, uint32(5))           // hub-rim TPH: AE-TPT, AP
 	f.Add(byte(2), byte(5), []byte{0, 1, 1, 0x10}, uint32(9))        // hub-rim TPT: AE-TPT, AA-FK
 	f.Add(byte(0), byte(2), []byte{0, 0, 2, 4, 1, 0x40}, uint32(11)) // chain: AE then AP+AA on the new type
+	for _, sd := range customerSeeds {
+		f.Add(byte(0x80), sd.size, sd.ops, sd.seed)
+	}
 	f.Fuzz(func(t *testing.T, wl, size byte, opBytes []byte, stateSeed uint32) {
 		runDifferential(t, wl, size, opBytes, stateSeed)
 	})
@@ -310,6 +350,11 @@ func TestDifferentialSeeds(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			runDifferential(t, tc.wl, tc.sz, tc.ops, tc.seed)
+		})
+	}
+	for _, sd := range customerSeeds {
+		t.Run("customer-"+sd.name, func(t *testing.T) {
+			runDifferential(t, 0x80, sd.size, sd.ops, sd.seed)
 		})
 	}
 }

@@ -72,7 +72,7 @@ func CheckDelta(bm *frag.Mapping, bv *frag.Views, m *frag.Mapping, v *frag.Views
 	if err != nil {
 		return nil, fmt.Errorf("delta: EncodeGeneration: %w", err)
 	}
-	delta, err := modelio.AppendDelta(nil, "00112233445566778899aabbccddeeff", strings.Repeat("0", 64), bm, bv, m, v)
+	delta, err := modelio.AppendDelta(nil, "00112233445566778899aabbccddeeff", strings.Repeat("0", 64), bm, bv, m, v, modelio.NoLimit)
 	if err != nil {
 		return nil, fmt.Errorf("delta: AppendDelta: %w", err)
 	}

@@ -19,27 +19,30 @@ import (
 // the client schema, and persisted snapshots are looked up by them; view
 // bytes feed the generation fingerprint. A change to how the schema answers
 // hierarchy or attribute questions that moves either digest invalidates
-// every persisted snapshot and generation address.
+// every persisted snapshot and generation address. The key digest also
+// pins which decisions reach the cache: type-only ones never do, and
+// typeOnly marks a compile all of whose decisions are type-only.
 var pinnedCompiles = []struct {
 	name        string
 	build       func() (*frag.Mapping, error)
 	keys, views string
+	typeOnly    bool
 }{
 	{"chain-40", func() (*frag.Mapping, error) { return workload.ChainE(40) },
-		"efa005e064b299dab97933d18b5d42cb1f50037ddebacec06f300a937e174d3c",
-		"e429e73656828565ac2be0d03c6b1445d1facf830c2e0a9fabb9f884cd536bb4"},
+		"1d478a51edbc768418665e9b2993c3f5f066db9da94848659a064af1703d856a",
+		"e429e73656828565ac2be0d03c6b1445d1facf830c2e0a9fabb9f884cd536bb4", false},
 	{"customer-60", func() (*frag.Mapping, error) {
 		return workload.CustomerE(workload.CustomerOptions{
 			Types: 60, Hierarchies: 8, LargestTPH: 25, Associations: 8, SharedTableFKs: 2,
 		})
 	},
-		"268ea1e29672b58e68bb6835f149a7539b8d769565140169e0ce85600f8df697",
-		"727aa0b5c0b6187f6a69a3354175fef18fb2e48e3adba9339cce9d75f9d75693"},
+		"11b0213620962370048cea661c9a2b0c26a9ab106cad9fd07f7807f5f6f5260f",
+		"727aa0b5c0b6187f6a69a3354175fef18fb2e48e3adba9339cce9d75f9d75693", false},
 	{"hubrim-tph-2x4", func() (*frag.Mapping, error) {
 		return workload.HubRimE(workload.HubRimOptions{N: 2, M: 4, TPH: true})
 	},
-		"107f709c9322602eda516691bfcd3f1494f23a83553bb7d3a8376d0eeec9d13e",
-		"d0cb8775a2586c130d115784395664a79972fc7d1ed39461acee28bb3b012c0f"},
+		"9dcf97a184f32623d11a73124ceb99a5709b083721e878a16d78f596718ba7b2",
+		"d0cb8775a2586c130d115784395664a79972fc7d1ed39461acee28bb3b012c0f", true},
 }
 
 // satCacheDigest hashes the sorted verdict keys (with their verdicts) and
@@ -92,6 +95,13 @@ func TestPinnedSatCacheKeysAndViews(t *testing.T) {
 			}
 			if views != pc.views {
 				t.Errorf("view digest = %s, want %s", views, pc.views)
+			}
+			snap, st := cache.Export(), cache.Stats()
+			if st.TypeOnly == 0 {
+				t.Errorf("no type-only decision: %+v", st)
+			}
+			if empty := len(snap.Entries) == 0 && len(snap.Scopes) == 0; empty != pc.typeOnly {
+				t.Errorf("%d verdicts and %d lemma scopes cached; all decisions type-only: %v", len(snap.Entries), len(snap.Scopes), pc.typeOnly)
 			}
 		})
 	}

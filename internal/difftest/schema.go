@@ -2,7 +2,9 @@ package difftest
 
 import (
 	"fmt"
+	"math/bits"
 	"reflect"
+	"slices"
 
 	"github.com/ormkit/incmap/internal/cond"
 	"github.com/ormkit/incmap/internal/cqt"
@@ -216,9 +218,9 @@ func (s *schemaScan) Nullable(set *edm.EntitySet, attr string) bool {
 
 // CheckSchemaIndex holds every index-served read of the schema to its scan
 // definition: the hierarchy walks, attribute lists, keys, set and
-// association lookups, cqt.SetCols and the set theories' Domain and
-// Nullable. Results must be reflect.DeepEqual, so nil and empty lists are
-// told apart. Every type is checked against every other, every attribute
+// association lookups, cqt.SetCols, the set theories' Domain and
+// Nullable, and the type-atom bitsets (checkTypeBits). Results must be
+// reflect.DeepEqual, so nil and empty lists are told apart. Every type is checked against every other, every attribute
 // name of the schema against every type and set, and unknown names too.
 // The first disagreement is returned.
 func CheckSchemaIndex(s *edm.Schema) error {
@@ -302,6 +304,63 @@ func CheckSchemaIndex(s *edm.Schema) error {
 	for _, a := range append(append([]*edm.Association(nil), sc.assocs...), &edm.Association{Name: unknown}) {
 		if got, want := s.Association(a.Name), sc.Association(a.Name); got != want {
 			return fmt.Errorf("edm index: Association(%s) = %v, scan gives %v", a.Name, got, want)
+		}
+	}
+	for _, within := range names {
+		if err := checkTypeBits(s, sc, within, names); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkTypeBits holds the index's type-atom bitsets over within's concrete
+// types (Schema.TypeBits) to the scan's hierarchy. The bit order is the
+// index's own, so it is read off the ONLY atoms: those of within's
+// concrete types must be distinct single bits below their count. Then
+// every other ONLY atom must be empty, and IS OF typ must hold exactly the
+// bits of the concrete types the scan places at or below typ. dst starts
+// full each time: TypeBits must overwrite it.
+func checkTypeBits(s *edm.Schema, sc *schemaScan, within string, names []string) error {
+	cands := sc.ConcreteIn(within)
+	dst := make([]uint64, (len(cands)+63)/64)
+	typeBits := func(typ string, only bool) []uint64 {
+		for i := range dst {
+			dst[i] = ^uint64(0)
+		}
+		s.TypeBits(dst, within, typ, only)
+		return append([]uint64(nil), dst...)
+	}
+	bit := map[string]int{}
+	seen := make([]bool, len(cands))
+	for _, c := range cands {
+		b := typeBits(c, true)
+		k := -1
+		for i, w := range b {
+			for ; w != 0; w &= w - 1 {
+				if k >= 0 {
+					return fmt.Errorf("edm index: TypeBits(%s, ONLY %s) = %x: more than one bit", within, c, b)
+				}
+				k = 64*i + bits.TrailingZeros64(w)
+			}
+		}
+		if k < 0 || k >= len(cands) || seen[k] {
+			return fmt.Errorf("edm index: TypeBits(%s, ONLY %s) = %x: no bit of its own below %d", within, c, b, len(cands))
+		}
+		seen[k] = true
+		bit[c] = k
+	}
+	for _, typ := range names {
+		for _, only := range []bool{false, true} {
+			want := make([]uint64, len(dst))
+			for _, c := range cands {
+				if only && c == typ || !only && sc.IsSubtype(c, typ) {
+					want[bit[c]/64] |= 1 << uint(bit[c]%64)
+				}
+			}
+			if got := typeBits(typ, only); !slices.Equal(got, want) {
+				return fmt.Errorf("edm index: TypeBits(%s, %s, only %v) = %x, scan gives %x", within, typ, only, got, want)
+			}
 		}
 	}
 	return nil

@@ -427,6 +427,36 @@ func (s *Schema) ConcreteIn(typeName string) []string {
 	return nil
 }
 
+// TypeBits writes into dst the concrete types of within's sub-hierarchy
+// (ConcreteIn(within)) at which IS OF typ holds, or IS OF ONLY typ when
+// only is set. Bit i stands for the i-th of those types in the index's
+// pre-order walk, so dst needs ⌈len(ConcreteIn(within))/64⌉ words; bits
+// past its end are dropped. An unknown type, an abstract ONLY type and a
+// type outside within's hierarchy admit no candidate.
+func (s *Schema) TypeBits(dst []uint64, within, typ string, only bool) {
+	clear(dst)
+	x := s.index()
+	w, ok := x.ids[within]
+	if !ok {
+		return
+	}
+	t, ok := x.ids[typ]
+	if !ok || only && x.ents[t].Abstract {
+		return
+	}
+	lo, hi := x.concreteSpan(t)
+	if only {
+		hi = lo + 1
+	}
+	base, top := x.concreteSpan(w)
+	lo, hi = max(lo, base)-base, min(hi, top, base+int32(64*len(dst)))-base
+	for lo < hi {
+		end := min(hi, (lo|63)+1) // the end of lo's word
+		dst[lo>>6] |= ^uint64(0) >> uint(64-(end-lo)) << uint(lo&63)
+		lo = end
+	}
+}
+
 // hasAttrUpward is HasAttr by a walk of the base chain, so that adding a
 // type never builds an index the addition then drops.
 func (s *Schema) hasAttrUpward(typeName, attr string) bool {

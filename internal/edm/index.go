@@ -20,6 +20,11 @@ type index struct {
 	// forest and size the number of types in its sub-hierarchy (itself
 	// included), so a descendant's pre falls in [pre, pre+size).
 	pre, size []int32
+	// cpre is the number of concrete types before each type in that walk.
+	// A type's sub-hierarchy is a pre-order interval, so its concrete types
+	// are ranks [cpre, cpre+len(concrete)) of the walk's concrete types:
+	// TypeBits serves type atoms from these intervals.
+	cpre []int32
 
 	anc       csr[string]    // proper ancestors, nearest first
 	desc      csr[string]    // proper descendants, declaration order
@@ -88,6 +93,7 @@ func buildIndex(s *Schema) *index {
 		root: make([]int32, n),
 		pre:  make([]int32, n),
 		size: make([]int32, n),
+		cpre: make([]int32, n),
 	}
 	for i, name := range s.order {
 		x.ids[name] = int32(i)
@@ -132,6 +138,7 @@ func buildIndex(s *Schema) *index {
 			stack = append(stack, child[childOff[v]:childOff[v+1]]...)
 		}
 	}
+	var conc int32
 	for _, v := range order {
 		r := v
 		for parent[r] >= 0 {
@@ -139,6 +146,10 @@ func buildIndex(s *Schema) *index {
 		}
 		x.root[v] = r
 		x.size[v] = 1
+		x.cpre[v] = conc
+		if !x.ents[v].Abstract {
+			conc++
+		}
 	}
 	for i := len(order) - 1; i >= 0; i-- {
 		if p := parent[order[i]]; p >= 0 {
@@ -300,6 +311,12 @@ func (x *index) allAttrs(id int32) []Attribute {
 		return a[:len(a):len(a)]
 	}
 	return x.attrs.at(id)
+}
+
+// concreteSpan returns the ranks [lo, hi) of the concrete types of id's
+// sub-hierarchy among the pre-order walk's concrete types.
+func (x *index) concreteSpan(id int32) (lo, hi int32) {
+	return x.cpre[id], x.cpre[id] + x.concrete.off[id+1] - x.concrete.off[id]
 }
 
 // attr finds an attribute of the type by ID.

@@ -133,12 +133,13 @@ func applySchemaOps(t *testing.T, ops []byte) {
 // changed source.
 func FuzzSchemaIndex(f *testing.F) {
 	// The in-code seeds mirror testdata/fuzz/FuzzSchemaIndex: a hierarchy
-	// with sibling attributes, a reroot under a later base, removals, and
-	// clone/mutate interleavings.
+	// with sibling attributes, a reroot under a later base, removals,
+	// clone/mutate interleavings and an abstract type among concrete ones.
 	f.Add([]byte{0, 0, 0x40, 0, 1, 0x41, 0, 1, 0x41, 2, 0, 0, 1, 2, 3})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1, 0x40, 2, 0, 0, 2, 1, 1, 6, 0, 2, 7, 0, 1, 5, 1, 0})
 	f.Add([]byte{0, 0, 0, 0, 1, 0xc3, 0, 2, 0x42, 2, 0, 0, 3, 4, 1, 7, 0, 0, 4, 0, 0, 5, 2, 0, 1, 0, 0x11})
 	f.Add([]byte{0, 0, 0, 0, 3, 0, 7, 1, 2, 6, 0, 1, 1, 1, 0x50, 7, 0, 3, 0, 1, 0x40, 6, 1, 0})
+	f.Add([]byte{0, 0, 0, 0, 1, 0, 0, 2, 0x80}) // an abstract subtype declared after a concrete sibling
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		applySchemaOps(t, ops)
 	})

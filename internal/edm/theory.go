@@ -27,6 +27,15 @@ func (t *SetTheory) ConcreteTypes(subject string) []string {
 // IsSubtype implements cond.Theory.
 func (t *SetTheory) IsSubtype(sub, typ string) bool { return t.Schema.IsSubtype(sub, typ) }
 
+// TypeSet implements cond.TypeSets from the schema index (Schema.TypeBits).
+func (t *SetTheory) TypeSet(dst []uint64, subject, typ string, only bool) {
+	if subject != "" || t.Set == nil {
+		clear(dst)
+		return
+	}
+	t.Schema.TypeBits(dst, t.Set.Type, typ, only)
+}
+
 // Domain implements cond.Theory. Of the types in the set's hierarchy that
 // carry the attribute, declared or inherited, the first in declaration
 // order decides.

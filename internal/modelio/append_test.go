@@ -397,12 +397,13 @@ func jsonKey(s string) string {
 // every string was valid UTF-8. The one exception is a name and an enum
 // value that differ only in invalid UTF-8: as keys of one case's attribute
 // map they decode alike, and the views decoder must reject the repeat.
-// TestAppendSnapshotMatchesMarshal holds AppendSnapshot to json.Marshal on
-// a chain-40 compile's SatCache snapshot and on edge shapes: empty and nil
-// fields, nil lemmas and literals, gate and atom literals, and keys that
-// need escaping.
-func TestAppendSnapshotMatchesMarshal(t *testing.T) {
-	m, err := workload.ChainE(chainSize)
+// compiledSnapshot returns the SatCache snapshot of a smallCustomer
+// compile. The chain's decisions are type-only or attribute-free and leave
+// no lemma scope; the customer model's association and TPT decisions leave
+// both verdicts and scopes.
+func compiledSnapshot(t *testing.T) *cond.SatSnapshot {
+	t.Helper()
+	m, err := workload.CustomerE(smallCustomer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,10 +411,19 @@ func TestAppendSnapshotMatchesMarshal(t *testing.T) {
 	if _, err := (&compiler.Compiler{Opts: compiler.Options{SatCache: c}}).Compile(m); err != nil {
 		t.Fatal(err)
 	}
-	compiled := c.Export()
-	if len(compiled.Entries) == 0 || len(compiled.Scopes) == 0 {
-		t.Fatalf("chain compile left %d verdicts and %d lemma scopes; want both", len(compiled.Entries), len(compiled.Scopes))
+	snap := c.Export()
+	if len(snap.Entries) == 0 || len(snap.Scopes) == 0 {
+		t.Fatalf("customer compile left %d verdicts and %d lemma scopes; want both", len(snap.Entries), len(snap.Scopes))
 	}
+	return snap
+}
+
+// TestAppendSnapshotMatchesMarshal holds AppendSnapshot to json.Marshal on
+// a customer-60 compile's SatCache snapshot and on edge shapes: empty and
+// nil fields, nil lemmas and literals, gate and atom literals, and keys
+// that need escaping.
+func TestAppendSnapshotMatchesMarshal(t *testing.T) {
+	compiled := compiledSnapshot(t)
 	lits := []cond.LemmaLitSnapshot{{}, {Gate: "g<1>&\u2028"}, {Atom: 3}, {Atom: -2147483648, Neg: true}, {Gate: "x", Atom: 1, Neg: true}, {Neg: true}, {Gate: "\xff\x00"}}
 	for i, snap := range []*cond.SatSnapshot{
 		compiled,

@@ -353,22 +353,11 @@ func TestDecodeMatchesOracleOnEdgeShapes(t *testing.T) {
 	}
 }
 
-// TestDecodeSnapshotMatchesOracle exports the SatCache of a chain compile
-// and checks DecodeSnapshot against the oracle on it and on edge shapes.
+// TestDecodeSnapshotMatchesOracle exports the SatCache of a customer-60
+// compile and checks DecodeSnapshot against the oracle on it and on edge
+// shapes.
 func TestDecodeSnapshotMatchesOracle(t *testing.T) {
-	m, err := workload.ChainE(chainSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := cond.NewSatCache()
-	if _, err := (&compiler.Compiler{Opts: compiler.Options{SatCache: c}}).Compile(m); err != nil {
-		t.Fatal(err)
-	}
-	snap := c.Export()
-	if len(snap.Entries) == 0 || len(snap.Scopes) == 0 {
-		t.Fatalf("chain compile left %d verdicts and %d lemma scopes; want both", len(snap.Entries), len(snap.Scopes))
-	}
-	exported, err := json.Marshal(snap)
+	exported, err := json.Marshal(compiledSnapshot(t))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,9 +33,19 @@ import (
 // the mapping's five, then the view set's three maps (viewParts).
 var deltaLists = [8]string{"types", "sets", "associations", "tables", "fragments", "query", "assoc", "update"}
 
+// NoLimit is AppendDelta's limit for a delta of any size.
+const NoLimit = -1
+
+// ErrDeltaOverLimit reports that a delta's payload exceeds the limit
+// AppendDelta was given.
+var ErrDeltaOverLimit = errors.New("modelio: delta over its limit")
+
 // AppendDelta appends to dst the delta that encodes the generation (m, v)
-// against the generation (bm, bv), naming the base fp and sum.
-func AppendDelta(dst []byte, fp, sum string, bm *frag.Mapping, bv *frag.Views, m *frag.Mapping, v *frag.Views) ([]byte, error) {
+// against the generation (bm, bv), naming the base fp and sum. Once the
+// delta's bytes pass limit (NoLimit for none), it stops and returns
+// ErrDeltaOverLimit, having appended at most limit bytes plus one list
+// element: a caller that would not write such a delta does not build it.
+func AppendDelta(dst []byte, fp, sum string, bm *frag.Mapping, bv *frag.Views, m *frag.Mapping, v *frag.Views, limit int) ([]byte, error) {
 	bmr, err := mappingRecordsOf(bm)
 	if err != nil {
 		return dst, err
@@ -52,27 +62,48 @@ func AppendDelta(dst []byte, fp, sum string, bm *frag.Mapping, bv *frag.Views, m
 	if err != nil {
 		return dst, err
 	}
-	dst = append(dst, `{"base":`...)
-	dst = appendString(dst, fp)
-	dst = append(dst, `,"sum":`...)
-	dst = appendString(dst, sum)
-	dst = appendDeltaList(dst, 0, &mr.types, &bmr.types, nil, nil)
-	dst = appendDeltaList(dst, 1, &mr.sets, &bmr.sets, nil, nil)
-	dst = appendDeltaList(dst, 2, &mr.assocs, &bmr.assocs, nil, nil)
-	dst = appendDeltaList(dst, 3, &mr.tables, &bmr.tables, nil, nil)
-	dst = appendDeltaList(dst, 4, &mr.frags, &bmr.frags, nil, nil)
-	for p := range vr.parts {
-		dst = appendDeltaList(dst, 5+p, &vr.parts[p].views, &bvr.parts[p].views, vr.parts[p].names, bvr.parts[p].names)
+	d := &deltaBuf{b: dst, end: -1}
+	if limit >= 0 {
+		d.end = len(dst) + limit
 	}
-	return append(dst, '}'), nil
+	d.b = append(d.b, `{"base":`...)
+	d.b = appendString(d.b, fp)
+	d.b = append(d.b, `,"sum":`...)
+	d.b = appendString(d.b, sum)
+	appendDeltaList(d, 0, &mr.types, &bmr.types, nil, nil)
+	appendDeltaList(d, 1, &mr.sets, &bmr.sets, nil, nil)
+	appendDeltaList(d, 2, &mr.assocs, &bmr.assocs, nil, nil)
+	appendDeltaList(d, 3, &mr.tables, &bmr.tables, nil, nil)
+	appendDeltaList(d, 4, &mr.frags, &bmr.frags, nil, nil)
+	for p := range vr.parts {
+		appendDeltaList(d, 5+p, &vr.parts[p].views, &bvr.parts[p].views, vr.parts[p].names, bvr.parts[p].names)
+	}
+	d.b = append(d.b, '}')
+	if d.over() {
+		return d.b, ErrDeltaOverLimit
+	}
+	return d.b, nil
 }
+
+// deltaBuf is a delta being built, and the length past which it is over
+// its limit (end < 0: no limit).
+type deltaBuf struct {
+	b   []byte
+	end int
+}
+
+func (d *deltaBuf) over() bool { return d.end >= 0 && len(d.b) > d.end }
 
 // appendDeltaList appends list l of a delta: s against base. An entry of
 // s that base holds (by identity, and in a view map under the same name)
 // joins a run; any other is written out. names and baseNames are the view
-// map's names, nil for a mapping list.
-func appendDeltaList[K comparable](dst []byte, l int, s, base *section[K], names, baseNames []string) []byte {
-	dst = append(dst, ',', '"')
+// map's names, nil for a mapping list. Once the delta is over its limit,
+// it appends nothing more.
+func appendDeltaList[K comparable](d *deltaBuf, l int, s, base *section[K], names, baseNames []string) {
+	if d.over() {
+		return
+	}
+	dst := append(d.b, ',', '"')
 	dst = append(dst, deltaLists[l]...)
 	dst = append(dst, `":[`...)
 	n := 0 // elements written
@@ -115,18 +146,21 @@ func appendDeltaList[K comparable](dst []byte, l int, s, base *section[K], names
 		sep()
 		if names == nil {
 			dst = append(dst, s.recs[i]...)
-			continue
+		} else {
+			dst = append(dst, '{')
+			dst = appendString(dst, names[i])
+			dst = append(dst, ':')
+			dst = append(dst, s.recs[i]...)
+			dst = append(dst, '}')
 		}
-		dst = append(dst, '{')
-		dst = appendString(dst, names[i])
-		dst = append(dst, ':')
-		dst = append(dst, s.recs[i]...)
-		dst = append(dst, '}')
+		if d.b = dst; d.over() {
+			return
+		}
 	}
 	if count > 0 {
 		run(start, count)
 	}
-	return append(dst, ']')
+	d.b = append(dst, ']')
 }
 
 // DeltaBase returns the fingerprint and checksum of the base record a

@@ -2,6 +2,8 @@ package modelio_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
@@ -76,7 +78,7 @@ func TestApplyDeltaRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := generationPayload(t, m, v)
-	good, err := modelio.AppendDelta(nil, "b", "s", m, v, m, v)
+	good, err := modelio.AppendDelta(nil, "b", "s", m, v, m, v, modelio.NoLimit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,5 +117,62 @@ func TestApplyDeltaRejects(t *testing.T) {
 	}
 	if fp, sum, err := modelio.DeltaBase(good[:len(`{"base":"b","sum":"s"`)]); err != nil || fp != "b" || sum != "s" {
 		t.Errorf("DeltaBase of a delta's head = %q, %q, %v", fp, sum, err)
+	}
+}
+
+// TestAppendDeltaStopsAtLimit checks that a delta over its limit is
+// reported as such and built only up to the limit plus one list element,
+// and that a limit it fits in leaves the delta as NoLimit builds it.
+func TestAppendDeltaStopsAtLimit(t *testing.T) {
+	compiled := func(m *frag.Mapping) (*frag.Mapping, *frag.Views) {
+		v, err := compiler.New().Compile(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, v
+	}
+	// A chain shares nothing with the paper's model, so every list of its
+	// delta holds many entries: an AppendDelta that checked the limit only
+	// between lists would overshoot by a whole list.
+	bm, bv := compiled(workload.PaperFull())
+	m, v := compiled(workload.Chain(chainSize))
+	full, err := modelio.AppendDelta(nil, "b", "s", bm, bv, m, v, modelio.NoLimit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lists map[string]json.RawMessage
+	if err := json.Unmarshal(full, &lists); err != nil {
+		t.Fatal(err)
+	}
+	largest := 0 // the longest list element
+	for name, raw := range lists {
+		var elems []json.RawMessage
+		if name == "base" || name == "sum" {
+			continue
+		}
+		if err := json.Unmarshal(raw, &elems); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range elems {
+			largest = max(largest, len(e))
+		}
+	}
+	prefix := []byte("head")
+	for _, limit := range []int{0, 10, len(full) / 4, len(full) / 2, len(full) - 1} {
+		out, err := modelio.AppendDelta(prefix, "b", "s", bm, bv, m, v, limit)
+		if !errors.Is(err, modelio.ErrDeltaOverLimit) {
+			t.Fatalf("limit %d of a %d-byte delta: err = %v, want ErrDeltaOverLimit", limit, len(full), err)
+		}
+		// Between one limit check and the next, AppendDelta appends one
+		// element, plus list brackets, names and runs of a few bytes each.
+		if built := len(out) - len(prefix); built > limit+largest+256 {
+			t.Fatalf("limit %d: built %d bytes; the longest element is %d", limit, built, largest)
+		}
+	}
+	for _, limit := range []int{len(full), 2 * len(full)} {
+		out, err := modelio.AppendDelta(prefix, "b", "s", bm, bv, m, v, limit)
+		if err != nil || !bytes.Equal(out[len(prefix):], full) {
+			t.Fatalf("limit %d of a %d-byte delta: err = %v, delta differs: %t", limit, len(full), err, !bytes.Equal(out[len(prefix):], full))
+		}
 	}
 }

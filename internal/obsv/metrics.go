@@ -149,6 +149,9 @@ const (
 	// Condition layer gauges (registered by the cond package's consumers).
 	MInternSize      = "cond.intern.size"
 	MInternEvictions = "cond.intern.evictions"
+	// SatCache decisions made as sets of concrete types, with no key,
+	// entry or solver run (every cache, counted in cond).
+	MSatCacheTypeOnly = "cond.satcache.type_only"
 	// CDCL prover gauges, fed by cond's process-lifetime solver counters:
 	// one flush of a local stats struct per solve keeps the solver's hot
 	// loop free of shared atomics.

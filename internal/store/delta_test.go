@@ -486,7 +486,7 @@ func FuzzDeltaLoad(f *testing.F) {
 		f.Fatal(err)
 	}
 	delta := func(fp, sum string, bm *frag.Mapping, bv *frag.Views) []byte {
-		d, err := modelio.AppendDelta(nil, fp, sum, bm, bv, gens[2].m, gens[2].v)
+		d, err := modelio.AppendDelta(nil, fp, sum, bm, bv, gens[2].m, gens[2].v, modelio.NoLimit)
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -492,12 +492,12 @@ func (s *Store) saveDelta(fp string, m *frag.Mapping, v *frag.Views, base *Base)
 	if s.sums[base.FP] != base.sum {
 		return false, nil
 	}
-	rec, err := modelio.AppendDelta(newRecord(classDelta, fp, 0), base.FP, base.sum, base.m, base.v, m, v)
+	rec, err := modelio.AppendDelta(newRecord(classDelta, fp, 0), base.FP, base.sum, base.m, base.v, m, v, base.size/maxDeltaShare)
+	if errors.Is(err, modelio.ErrDeltaOverLimit) {
+		return false, nil
+	}
 	if err != nil {
 		return false, fmt.Errorf("store: %w", err)
-	}
-	if len(rec)-headLen(classDelta, fp) > base.size/maxDeltaShare {
-		return false, nil
 	}
 	if _, err := s.writeRecord(genFileName(fp), classDelta, fp, rec); err != nil {
 		return false, err

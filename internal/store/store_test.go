@@ -340,8 +340,8 @@ func TestSatCacheRoundtrip(t *testing.T) {
 	if err := s2.LoadSatCache(c2); err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	if got, hit := c2.SatisfiableHit(th, cond.NewAnd(a, b)); !hit || got {
-		t.Fatalf("persisted verdict lost: hit=%v sat=%v", hit, got)
+	if got, d := c2.SatisfiableHit(th, cond.NewAnd(a, b)); d != cond.Cached || got {
+		t.Fatalf("persisted verdict lost: decision=%v sat=%v", d, got)
 	}
 	if st := c2.Stats(); st.PersistedHits == 0 {
 		t.Fatalf("persisted hit not counted: %+v", st)

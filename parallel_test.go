@@ -208,11 +208,12 @@ func TestParallelCompileErrorsByteIdentical(t *testing.T) {
 }
 
 // TestParallelSharedSatCache: a cache shared across compilations changes
-// cost (second run is all hits) but never results.
+// cost (second run is all hits) but never results. Hub-rim TPT, because
+// every decision of the TPH model is type-only and none reaches a cache.
 func TestParallelSharedSatCache(t *testing.T) {
 	cache := incmap.NewSatCache()
 	mk := func() *frag.Mapping {
-		return workload.HubRim(workload.HubRimOptions{N: 2, M: 3, TPH: true})
+		return workload.HubRim(workload.HubRimOptions{N: 2, M: 3})
 	}
 	opts := incmap.CompilerOptions{Parallelism: 4, SatCache: cache}
 	cold, coldStats, err := incmap.CompileWith(mk(), opts)
