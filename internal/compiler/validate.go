@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -618,20 +617,20 @@ func (c *Compiler) foreignKeyTasks(m *frag.Mapping, views *frag.Views, ch *conta
 	// The right side of an FK containment depends only on the referenced
 	// table's view and the referenced columns, so checks sharing a
 	// (RefTable, RefCols) pair — every rim table's FK into the hub, in the
-	// Figure 3 model — share one lazily prenormalized right side. sync.Once
-	// makes the sharing safe across parallel tasks.
-	pres := map[string]*fkRhsPre{}
+	// Figure 3 model — share one prenormalized right side, built by the
+	// first of them to run (a Prenorm is safe across parallel tasks).
+	pres := map[string]*containment.Prenorm{}
 	var tasks []vtask
 	for _, tn := range m.MappedTables() {
 		tn := tn
 		tab := m.Store.Table(tn)
 		for _, fk := range tab.FKs {
 			fk := fk
-			var pre *fkRhsPre
+			var pre *containment.Prenorm
 			if mapped[fk.RefTable] {
-				key := fkRhsKey(fk)
+				key := fk.RefTable + "\x00" + strings.Join(fk.RefCols, "\x00")
 				if pres[key] == nil {
-					pres[key] = &fkRhsPre{}
+					pres[key] = ch.PrenormalizeRight(fkRefQuery(views, fk))
 				}
 				pre = pres[key]
 			}
@@ -655,12 +654,7 @@ func (c *Compiler) foreignKeyTasks(m *frag.Mapping, views *frag.Views, ch *conta
 							Reason: fmt.Sprintf("foreign key %s references unmapped table %s", fk.Name, fk.RefTable),
 						}
 					}
-					lhs, rhs := fkContainmentQueries(views, fk, tn)
-					rpre, err := pre.get(ch, rhs)
-					if err != nil {
-						return err
-					}
-					ok, err := ch.ContainsPreCtx(ctx, lhs, rpre)
+					ok, err := ch.ContainsPreCtx(ctx, fkLeftQuery(views, fk, tn), pre)
 					if err != nil {
 						return err
 					}
@@ -678,40 +672,22 @@ func (c *Compiler) foreignKeyTasks(m *frag.Mapping, views *frag.Views, ch *conta
 	return tasks
 }
 
-// fkRhsPre lazily prenormalizes one FK containment right side, shared by
-// every check that references the same table through the same columns.
-type fkRhsPre struct {
-	once sync.Once
-	pre  *containment.Prenorm
-	err  error
-}
-
-func (p *fkRhsPre) get(ch *containment.Checker, rhs cqt.Expr) (*containment.Prenorm, error) {
-	p.once.Do(func() { p.pre, p.err = ch.PrenormalizeRight(rhs) })
-	return p.pre, p.err
-}
-
-func fkRhsKey(fk rel.ForeignKey) string {
-	return fk.RefTable + "\x00" + strings.Join(fk.RefCols, "\x00")
-}
-
-// fkContainmentQueries builds π_{β AS γ}(σ_{β NOT NULL}(Q_T)) ⊆ π_γ(Q_T').
-func fkContainmentQueries(views *frag.Views, fk rel.ForeignKey, table string) (cqt.Expr, cqt.Expr) {
-	qt := views.Update[table].Q
-	qr := views.Update[fk.RefTable].Q
-
+// fkLeftQuery and fkRefQuery build the two sides of foreign key fk of
+// table: π_{β AS γ}(σ_{β NOT NULL}(Q_T)) ⊆ π_γ(Q_T').
+func fkLeftQuery(views *frag.Views, fk rel.ForeignKey, table string) cqt.Expr {
 	var notNull []cond.Expr
 	cols := make([]cqt.ProjCol, 0, len(fk.Cols))
 	for i, c := range fk.Cols {
 		notNull = append(notNull, cond.NotNull(c))
 		cols = append(cols, cqt.ColAs(c, fk.RefCols[i]))
 	}
-	lhs := cqt.Project{In: cqt.Select{In: qt, Cond: cond.NewAnd(notNull...)}, Cols: cols}
+	return cqt.Project{In: cqt.Select{In: views.Update[table].Q, Cond: cond.NewAnd(notNull...)}, Cols: cols}
+}
 
+func fkRefQuery(views *frag.Views, fk rel.ForeignKey) cqt.Expr {
 	rcols := make([]cqt.ProjCol, 0, len(fk.RefCols))
 	for _, c := range fk.RefCols {
 		rcols = append(rcols, cqt.Col(c))
 	}
-	rhs := cqt.Project{In: qr, Cols: rcols}
-	return lhs, rhs
+	return cqt.Project{In: views.Update[fk.RefTable].Q, Cols: rcols}
 }

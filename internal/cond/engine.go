@@ -22,9 +22,11 @@ package cond
 //     with the assigned type literals, and a per-attribute-group mask of
 //     candidates the group's state still admits (present or absent),
 //
-// all undone in O(1) on backtrack via per-atom save slots. Domains or
-// candidate sets wider than 64 fall back to the gather-and-recheck path,
-// preserving exact semantics.
+// all undone in O(1) on backtrack via per-atom save slots. Domains wider
+// than 64 values fall back to the gather-and-recheck path, preserving exact
+// semantics. Subjects of more than 64 candidates keep no incremental state:
+// their type atoms' candidate sets and their groups' has-attribute sets are
+// multi-word bitsets, intersected afresh at each check.
 
 // maxMaskBits is the widest enum domain / candidate set the bitmask fast
 // path covers; wider groups use the slow gather path.
@@ -59,6 +61,9 @@ type eAtom struct {
 	// positively; for eaCmp in a fast group, the domain-value bits where
 	// the comparison holds.
 	mask uint64
+	// wide is mask for eaType atoms of slow subjects: one bit per
+	// candidate, over ⌈candidates/64⌉ words.
+	wide []uint64
 }
 
 // eGroup is one attribute's literal group with its incremental state.
@@ -75,7 +80,8 @@ type eGroup struct {
 	// skipState marks groups owned by a slow (>64-candidate) subject:
 	// assignments only record vals; feasibility re-derives everything.
 	skipState bool
-	hasMask   uint64 // typed subjects: candidates carrying the attribute
+	hasMask   uint64   // typed subjects: candidates carrying the attribute
+	hasWide   []uint64 // hasMask of a slow subject's group
 
 	// Dynamic state.
 	valueMask     uint64 // fast groups: values compatible with assigned cmps
@@ -88,7 +94,8 @@ type eGroup struct {
 type eSubject struct {
 	name        string
 	candidates  []string
-	slow        bool // >maxMaskBits candidates: gather path
+	slow        bool     // >maxMaskBits candidates: wide bitsets
+	fullWide    []uint64 // slow subjects: every candidate
 	fullMask    uint64
 	candMask    uint64 // candidates compatible with assigned type literals
 	groups      []int32
@@ -116,7 +123,7 @@ type enumEngine struct {
 	dom     map[string]domEntry
 	litsBuf []attrLit
 	cmpsBuf []attrLit
-	tlsBuf  []typeLit
+	wideBuf []uint64
 }
 
 func newEnumEngine(t Theory, atoms []Atom) *enumEngine {
@@ -145,6 +152,7 @@ func newEnumEngine(t Theory, atoms []Atom) *enumEngine {
 			s := eSubject{name: name, candidates: cands}
 			if len(cands) > maxMaskBits {
 				s.slow = true
+				s.fullWide = wideSet(len(cands), func(int) bool { return true })
 			} else {
 				s.fullMask = onesMask(len(cands))
 				s.candMask = s.fullMask
@@ -164,8 +172,10 @@ func newEnumEngine(t Theory, atoms []Atom) *enumEngine {
 		if si >= 0 && e.subjs[si].slow {
 			// Slow subjects skip incremental mask state, but the group must
 			// still be linked so slowSubjectConsistent and subjectAssigned
-			// see its literals (info and members are all they need).
+			// see its literals and has-attribute set.
 			g.skipState = true
+			cands := e.subjs[si].candidates
+			g.hasWide = wideSet(len(cands), func(ci int) bool { return t.HasAttr(cands[ci], bareAttr(attr)) })
 			e.subjs[si].groups = append(e.subjs[si].groups, gi)
 		} else {
 			switch {
@@ -206,15 +216,17 @@ func newEnumEngine(t Theory, atoms []Atom) *enumEngine {
 			s := &e.subjs[si]
 			s.typeMembers = append(s.typeMembers, int32(i))
 			ea := eAtom{kind: eaType, group: -1, subj: si}
-			if !s.slow {
-				for ci, c := range s.candidates {
-					var holds bool
-					if a.Only {
-						holds = c == a.Type
-					} else {
-						holds = t.IsSubtype(c, a.Type)
-					}
-					if holds {
+			holds := func(ci int) bool {
+				if a.Only {
+					return s.candidates[ci] == a.Type
+				}
+				return t.IsSubtype(s.candidates[ci], a.Type)
+			}
+			if s.slow {
+				ea.wide = wideSet(len(s.candidates), holds)
+			} else {
+				for ci := range s.candidates {
+					if holds(ci) {
 						ea.mask |= 1 << uint(ci)
 					}
 				}
@@ -444,40 +456,72 @@ func (e *enumEngine) gatherLits(g *eGroup) []attrLit {
 	return lits
 }
 
-// slowSubjectConsistent is the gather path for subjects with more concrete
-// candidates than the bitmask covers: per candidate, re-check type literals
-// and every attribute group.
+// slowSubjectConsistent decides a subject with more concrete candidates
+// than one mask word covers: the candidates its assigned type literals
+// admit, narrowed by each attribute group to the candidates carrying the
+// attribute (when only a value or NULL is feasible) or lacking it (when only
+// absence is), must be non-empty.
 func (e *enumEngine) slowSubjectConsistent(s *eSubject) bool {
-	tls := e.tlsBuf[:0]
+	m := append(e.wideBuf[:0], s.fullWide...)
+	e.wideBuf = m
 	for _, ti := range s.typeMembers {
-		if e.vals[ti] < 0 {
-			continue
+		w := e.ea[ti].wide
+		switch e.vals[ti] {
+		case 1:
+			for i := range m {
+				m[i] &= w[i]
+			}
+		case 0:
+			for i := range m {
+				m[i] &^= w[i]
+			}
 		}
-		a := e.atoms[ti]
-		tls = append(tls, typeLit{typ: a.Type, only: a.Only, pos: e.vals[ti] == 1})
 	}
-	e.tlsBuf = tls
-	for _, c := range s.candidates {
-		if !typeLitsHold(e.t, c, tls) {
+	if !anyBit(m) {
+		return false
+	}
+	for _, gi := range s.groups {
+		g := &e.groups[gi]
+		lits := e.gatherLits(g)
+		// An absent attribute reads as NULL, whatever its declared
+		// nullability.
+		absentOK := !forcedNonNull(lits)
+		presentOK := attrFeasibleLits(g.info, lits, &e.cmpsBuf)
+		switch {
+		case presentOK && absentOK:
 			continue
-		}
-		ok := true
-		for _, gi := range s.groups {
-			g := &e.groups[gi]
-			lits := e.gatherLits(g)
-			if !e.t.HasAttr(c, bareAttr(g.attr)) {
-				if forcedNonNull(lits) {
-					ok = false
-					break
-				}
-				continue
+		case presentOK:
+			for i := range m {
+				m[i] &= g.hasWide[i]
 			}
-			if !attrFeasibleLits(g.info, lits, &e.cmpsBuf) {
-				ok = false
-				break
+		case absentOK:
+			for i := range m {
+				m[i] &^= g.hasWide[i]
 			}
+		default:
+			return false
 		}
-		if ok {
+		if !anyBit(m) {
+			return false
+		}
+	}
+	return true
+}
+
+// wideSet returns the n-bit set of the indexes at which in holds.
+func wideSet(n int, in func(int) bool) []uint64 {
+	w := make([]uint64, (n+63)/64)
+	for i := 0; i < n; i++ {
+		if in(i) {
+			w[i>>6] |= 1 << uint(i&63)
+		}
+	}
+	return w
+}
+
+func anyBit(w []uint64) bool {
+	for _, x := range w {
+		if x != 0 {
 			return true
 		}
 	}

@@ -176,3 +176,24 @@ func TestConsistentAssignmentAgreesWithNaive(t *testing.T) {
 		}
 	}
 }
+
+type typeLit struct {
+	typ  string
+	only bool
+	pos  bool
+}
+
+func typeLitsHold(t Theory, concrete string, lits []typeLit) bool {
+	for _, l := range lits {
+		var holds bool
+		if l.only {
+			holds = concrete == l.typ
+		} else {
+			holds = t.IsSubtype(concrete, l.typ)
+		}
+		if holds != l.pos {
+			return false
+		}
+	}
+	return true
+}

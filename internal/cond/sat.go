@@ -176,32 +176,11 @@ func bareAttr(attr string) string {
 	return attr
 }
 
-type typeLit struct {
-	typ  string
-	only bool
-	pos  bool
-}
-
 type attrLit struct {
 	null bool // true for IS NULL atoms, false for comparisons
 	op   Op
 	val  Value
 	pos  bool
-}
-
-func typeLitsHold(t Theory, concrete string, lits []typeLit) bool {
-	for _, l := range lits {
-		var holds bool
-		if l.only {
-			holds = concrete == l.typ
-		} else {
-			holds = t.IsSubtype(concrete, l.typ)
-		}
-		if holds != l.pos {
-			return false
-		}
-	}
-	return true
 }
 
 func forcedNonNull(lits []attrLit) bool {

@@ -3,6 +3,7 @@ package containment
 import (
 	"context"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -156,34 +157,45 @@ func (ch *Checker) ContainsCtx(ctx context.Context, a, b cqt.Expr) (bool, error)
 }
 
 // Prenorm is the reusable right-hand side of a containment check: the
-// simplify + normalize result of one query, computed once by
-// PrenormalizeRight and shared across every ContainsPreCtx call that checks
-// containment in that query. The blocks are never mutated after
-// construction (the left side's aliases are drawn from a disjoint range),
-// so one Prenorm may serve concurrent checks.
+// simplify + normalize result of one query, shared across every
+// ContainsPreCtx call that checks containment in that query. It is built
+// once, by the first check that uses it and under that check's span. The
+// blocks are never mutated after construction (the left side's aliases are
+// drawn from a disjoint range), so one Prenorm may serve concurrent checks.
 type Prenorm struct {
+	ch     *Checker
+	q      cqt.Expr
+	once   sync.Once
 	blocks []CQ
+	err    error
 }
 
 // PrenormalizeRight prepares q for use as the right-hand (containing) side
-// of ContainsPreCtx. Validation passes that check many queries against the
-// same view — every foreign key referencing one table, say — pay q's
-// simplification and normalization once instead of once per check.
-func (ch *Checker) PrenormalizeRight(q cqt.Expr) (*Prenorm, error) {
-	if ch.Simplify {
-		q = cqt.Simplify(ch.Cat, q)
-	}
-	nb := &normalizer{cat: ch.Cat, mode: lower, nextID: 1 << 20}
-	B, err := nb.normalize(q)
-	if err != nil {
-		return nil, err
-	}
-	return &Prenorm{blocks: B}, nil
+// of ContainsPreCtx, normalized with this checker's settings. Validation
+// passes that check many queries against the same view — every foreign key
+// referencing one table, say — pay q's simplification and normalization
+// once instead of once per check.
+func (ch *Checker) PrenormalizeRight(q cqt.Expr) *Prenorm {
+	return &Prenorm{ch: ch, q: q}
+}
+
+// get returns the right side's blocks, normalizing them on first use.
+func (p *Prenorm) get() ([]CQ, error) {
+	p.once.Do(func() {
+		q := p.q
+		if p.ch.Simplify {
+			q = cqt.Simplify(p.ch.Cat, q)
+		}
+		nb := &normalizer{cat: p.ch.Cat, mode: lower, nextID: 1 << 20}
+		p.blocks, p.err = nb.normalize(q)
+		p.q = nil
+	})
+	return p.blocks, p.err
 }
 
 // ContainsPreCtx is ContainsCtx with a prenormalized right-hand side; the
-// verdict is identical to ContainsCtx against the query the Prenorm was
-// built from.
+// verdict and error are those of ContainsCtx against the query the Prenorm
+// was built from.
 func (ch *Checker) ContainsPreCtx(ctx context.Context, a cqt.Expr, pre *Prenorm) (bool, error) {
 	return ch.check(ctx, a, nil, pre)
 }
@@ -226,11 +238,13 @@ func (ch *Checker) check(ctx context.Context, a, b cqt.Expr, pre *Prenorm) (cont
 		return false, err
 	}
 	if pre == nil {
-		if pre, err = ch.PrenormalizeRight(b); err != nil {
-			return false, err
-		}
+		pre = ch.PrenormalizeRight(b)
 	}
-	return ch.containsBlocks(ctx, A, pre.blocks)
+	B, err := pre.get()
+	if err != nil {
+		return false, err
+	}
+	return ch.containsBlocks(ctx, A, B)
 }
 
 // containsBlocks runs the block-level containment check: every satisfiable
@@ -416,10 +430,14 @@ func indexDot(s string) int {
 // join equalities, used to canonicalize conditions and compare references.
 type classes struct {
 	parent map[string]string
+	pos    map[string]int // each alias's position in the block's scans
 }
 
 func newClasses(b *CQ) *classes {
-	c := &classes{parent: map[string]string{}}
+	c := &classes{parent: map[string]string{}, pos: make(map[string]int, len(b.Scans))}
+	for i, s := range b.Scans {
+		c.pos[s.Alias] = i
+	}
 	for _, eq := range b.Eqs {
 		c.union(eq[0].qualified(), eq[1].qualified())
 	}
@@ -439,14 +457,26 @@ func (c *classes) find(x string) string {
 func (c *classes) union(x, y string) {
 	rx, ry := c.find(x), c.find(y)
 	if rx != ry {
-		// Keep the lexicographically smaller representative for
-		// determinism.
-		if rx < ry {
+		// The representative's domain and nullability stand for the whole
+		// class, so it is chosen by scan position, then column name: a
+		// verdict must not depend on how the normalizer numbered the
+		// aliases.
+		if c.before(rx, ry) {
 			c.parent[ry] = rx
 		} else {
 			c.parent[rx] = ry
 		}
 	}
+}
+
+// before orders qualified column references by their alias's scan
+// position, then by column name.
+func (c *classes) before(x, y string) bool {
+	i, j := indexDot(x), indexDot(y)
+	if px, py := c.pos[x[:i]], c.pos[y[:j]]; px != py {
+		return px < py
+	}
+	return x[i+1:] < y[j+1:]
 }
 
 func (c *classes) rep(q string) string { return c.find(q) }

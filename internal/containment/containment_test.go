@@ -1,6 +1,8 @@
 package containment
 
 import (
+	"context"
+	"sync"
 	"testing"
 
 	"github.com/ormkit/incmap/internal/cond"
@@ -198,4 +200,67 @@ func TestUnsatisfiableBlockSkipped(t *testing.T) {
 	empty := persons(cond.NewAnd(cond.TypeIs{Type: "Employee"}, cond.TypeIs{Type: "Customer"}), "Id")
 	anything := persons(cond.TypeIs{Type: "Customer"}, "Id")
 	mustContain(t, ch, empty, anything, true, "empty query contained in anything")
+}
+
+// TestPrenormSharedAcrossGoroutines checks one right side from several
+// goroutines at once, as the compiler's parallel foreign-key tasks do: the
+// first check to reach the Prenorm normalizes it, and every check returns
+// ContainsCtx's verdict.
+func TestPrenormSharedAcrossGoroutines(t *testing.T) {
+	ch := checker(t)
+	per := persons(cond.TypeIs{Type: "Person"}, "Id")
+	lefts := []cqt.Expr{
+		persons(cond.TypeIs{Type: "Employee"}, "Id"),
+		persons(cond.TypeIs{Type: "Customer"}, "Id"),
+		persons(cond.TypeIs{Type: "Person"}, "Id"),
+		cqt.Project{In: cqt.ScanTable{Table: "HR"}, Cols: []cqt.ProjCol{cqt.Col("Id")}},
+	}
+	want := make([]bool, len(lefts))
+	for i, l := range lefts {
+		ok, err := ch.Contains(l, per)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = ok
+	}
+	pre := ch.PrenormalizeRight(per)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			i := g % len(lefts)
+			ok, err := ch.ContainsPreCtx(context.Background(), lefts[i], pre)
+			if err != nil || ok != want[i] {
+				t.Errorf("check %d: %v, %v; want %v", i, ok, err, want[i])
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestVerdictIgnoresAliasNumbering joins an int key column to a string
+// column, so a block comparing the key with a string literal is empty. The
+// checker sees that only when the class's representative is the key column;
+// the representative is chosen by scan position, so renumbering the aliases
+// (t9 and t10 order the other way round as strings) keeps the verdict.
+func TestVerdictIgnoresAliasNumbering(t *testing.T) {
+	ch := checker(t)
+	block := func(x, y string) CQ {
+		return CQ{
+			Scans:   []ScanRef{{Alias: x, Kind: KSet, Name: "Persons"}, {Alias: y, Kind: KSet, Name: "Persons"}},
+			Eqs:     [][2]ColRef{{{Alias: x, Col: "Id"}, {Alias: y, Col: "Name"}}},
+			Cond:    cond.Cmp{Attr: x + ".Id", Op: cond.OpEq, Val: cond.String("P")},
+			Proj:    map[string]Term{"Id": {Ref: ColRef{Alias: x, Col: "Id"}}},
+			Subject: x,
+		}
+	}
+	hr := []CQ{{Scans: []ScanRef{{Alias: "r", Kind: KTable, Name: "HR"}}, Cond: cond.True{},
+		Proj: map[string]Term{"Id": {Ref: ColRef{Alias: "r", Col: "Id"}}}}}
+	for _, names := range [][2]string{{"t1", "t2"}, {"t9", "t10"}} {
+		ok, err := ch.containsBlocks(context.Background(), []CQ{block(names[0], names[1])}, hr)
+		if err != nil || !ok {
+			t.Errorf("aliases %v: contained = %v, %v; want true (the block is empty)", names, ok, err)
+		}
+	}
 }

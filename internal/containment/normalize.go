@@ -13,6 +13,7 @@ package containment
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"github.com/ormkit/incmap/internal/cond"
@@ -69,30 +70,91 @@ const (
 	lower            // subset of the query (for the ⊆ right-hand side)
 )
 
+// normalizer converts query trees into unions of conjunctive blocks,
+// building only the output columns each node's parent reads: a check reads
+// whole output schemas at the top of both sides, and below that a node's
+// columns are needed only where a projection, a condition or a join key
+// reads them.
 type normalizer struct {
-	cat     *cqt.Catalog
-	mode    approxMode
-	nextID  int
-	inexact bool // an approximation was actually applied
+	cat    *cqt.Catalog
+	mode   approxMode
+	nextID int
 }
 
 func (n *normalizer) fresh() string {
 	n.nextID++
-	return fmt.Sprintf("t%d", n.nextID)
+	return "t" + strconv.Itoa(n.nextID)
 }
 
-// normalize converts a query tree into a union of conjunctive blocks.
+// colSet is the set of output columns a parent reads from a node; the nil
+// set reads every column.
+type colSet map[string]struct{}
+
+func (s colSet) reads(c string) bool {
+	if s == nil {
+		return true
+	}
+	_, ok := s[c]
+	return ok
+}
+
+// size bounds the columns read from a node that outputs n, for sizing maps.
+func (s colSet) size(n int) int {
+	if s == nil {
+		return n
+	}
+	return min(n, len(s))
+}
+
+// plus returns s with cols added; every column plus more is still every
+// column.
+func (s colSet) plus(cols ...string) colSet {
+	if s == nil {
+		return nil
+	}
+	out := make(colSet, len(s)+len(cols))
+	for c := range s {
+		out[c] = struct{}{}
+	}
+	for _, c := range cols {
+		out[c] = struct{}{}
+	}
+	return out
+}
+
+// nullTerm pads an outer join's missing side. Terms are never written
+// through, so every padded column shares one literal.
+var nullTerm = Term{Lit: &cqt.Literal{Null: true}}
+
+// normalize converts a query tree into a union of conjunctive blocks with
+// every output column.
 func (n *normalizer) normalize(e cqt.Expr) ([]CQ, error) {
+	return n.norm(e, nil)
+}
+
+// norm converts e into a union of conjunctive blocks whose projections hold
+// at least the columns of need that e outputs. The returned slice belongs
+// to the caller; the blocks' Scans, Eqs and Proj may be shared with other
+// blocks and are never written through.
+func (n *normalizer) norm(e cqt.Expr, need colSet) ([]CQ, error) {
 	switch v := e.(type) {
 	case cqt.ScanTable:
-		return n.scan(KTable, v.Table)
+		return n.scan(KTable, v.Table, need)
 	case cqt.ScanSet:
-		return n.scan(KSet, v.Set)
+		return n.scan(KSet, v.Set, need)
 	case cqt.ScanAssoc:
-		return n.scan(KAssoc, v.Assoc)
+		return n.scan(KAssoc, v.Assoc, need)
 
 	case cqt.Select:
-		blocks, err := n.normalize(v.In)
+		var attrs []string
+		if need != nil {
+			for _, a := range cond.Atoms(v.Cond) {
+				if a.Kind != cond.AtomType {
+					attrs = append(attrs, a.Attr)
+				}
+			}
+		}
+		blocks, err := n.norm(v.In, need.plus(attrs...))
 		if err != nil {
 			return nil, err
 		}
@@ -111,7 +173,15 @@ func (n *normalizer) normalize(e cqt.Expr) ([]CQ, error) {
 		return out, nil
 
 	case cqt.Project:
-		blocks, err := n.normalize(v.In)
+		// Every source is read, so a projection of an unknown column is
+		// reported whether or not the parent reads its output.
+		src := make(colSet, len(v.Cols))
+		for _, pc := range v.Cols {
+			if pc.Lit == nil {
+				src[pc.Src] = struct{}{}
+			}
+		}
+		blocks, err := n.norm(v.In, src)
 		if err != nil {
 			return nil, err
 		}
@@ -119,72 +189,67 @@ func (n *normalizer) normalize(e cqt.Expr) ([]CQ, error) {
 			proj := make(map[string]Term, len(v.Cols))
 			for _, pc := range v.Cols {
 				if pc.Lit != nil {
-					proj[pc.As] = Term{Lit: pc.Lit}
+					if need.reads(pc.As) {
+						proj[pc.As] = Term{Lit: pc.Lit}
+					}
 					continue
 				}
 				t, ok := blocks[i].Proj[pc.Src]
 				if !ok {
 					return nil, fmt.Errorf("containment: projection of unknown column %q", pc.Src)
 				}
-				proj[pc.As] = t
+				if need.reads(pc.As) {
+					proj[pc.As] = t
+				}
 			}
 			blocks[i].Proj = proj
 		}
 		return blocks, nil
 
 	case cqt.Join:
-		switch v.Kind {
-		case cqt.Inner:
-			return n.innerJoin(v)
-		case cqt.LeftOuter:
-			inner, err := n.innerJoin(cqt.Join{Kind: cqt.Inner, L: v.L, R: v.R, On: v.On})
-			if err != nil {
-				return nil, err
-			}
-			switch n.mode {
-			case lower:
-				n.inexact = true
-				return inner, nil
-			case upper:
-				n.inexact = true
-				padded, err := n.padBlocks(v.L, v.R)
-				if err != nil {
-					return nil, err
-				}
-				return append(inner, padded...), nil
-			default:
-				return nil, fmt.Errorf("containment: outer join not supported in exact mode")
-			}
-		case cqt.FullOuter:
-			inner, err := n.innerJoin(cqt.Join{Kind: cqt.Inner, L: v.L, R: v.R, On: v.On})
-			if err != nil {
-				return nil, err
-			}
-			switch n.mode {
-			case lower:
-				n.inexact = true
-				return inner, nil
-			case upper:
-				n.inexact = true
-				lp, err := n.padBlocks(v.L, v.R)
-				if err != nil {
-					return nil, err
-				}
-				rp, err := n.padBlocks(v.R, v.L)
-				if err != nil {
-					return nil, err
-				}
-				return append(append(inner, lp...), rp...), nil
-			default:
-				return nil, fmt.Errorf("containment: outer join not supported in exact mode")
-			}
+		if v.Kind != cqt.Inner && v.Kind != cqt.LeftOuter && v.Kind != cqt.FullOuter {
+			return nil, fmt.Errorf("containment: unknown join kind")
 		}
-		return nil, fmt.Errorf("containment: unknown join kind")
+		lneed, rneed := need, need
+		if need != nil {
+			lcols := make([]string, len(v.On))
+			rcols := make([]string, len(v.On))
+			for i, p := range v.On {
+				lcols[i], rcols[i] = p[0], p[1]
+			}
+			lneed, rneed = need.plus(lcols...), need.plus(rcols...)
+		}
+		lbs, err := n.norm(v.L, lneed)
+		if err != nil {
+			return nil, err
+		}
+		rbs, err := n.norm(v.R, rneed)
+		if err != nil {
+			return nil, err
+		}
+		inner, err := innerJoin(lbs, rbs, v.On, need)
+		if err != nil || v.Kind == cqt.Inner {
+			return inner, err
+		}
+		switch n.mode {
+		case lower:
+			return inner, nil
+		case upper:
+			// The padded blocks reuse the inputs' blocks, and with them
+			// their aliases: every block is reasoned about on its own.
+			out, err := n.padBlocks(inner, lbs, v.R, need)
+			if err != nil || v.Kind == cqt.LeftOuter {
+				return out, err
+			}
+			return n.padBlocks(out, rbs, v.L, need)
+		default:
+			return nil, fmt.Errorf("containment: outer join not supported in exact mode")
+		}
 
 	case cqt.UnionAll:
 		var out []CQ
 		for _, in := range v.Inputs {
-			bs, err := n.normalize(in)
+			bs, err := n.norm(in, need)
 			if err != nil {
 				return nil, err
 			}
@@ -195,7 +260,7 @@ func (n *normalizer) normalize(e cqt.Expr) ([]CQ, error) {
 	return nil, fmt.Errorf("containment: unsupported expression %T", e)
 }
 
-func (n *normalizer) scan(kind ScanKind, name string) ([]CQ, error) {
+func (n *normalizer) scan(kind ScanKind, name string, need colSet) ([]CQ, error) {
 	var scanExpr cqt.Expr
 	switch kind {
 	case KTable:
@@ -210,9 +275,11 @@ func (n *normalizer) scan(kind ScanKind, name string) ([]CQ, error) {
 		return nil, err
 	}
 	alias := n.fresh()
-	proj := make(map[string]Term, len(cols))
+	proj := make(map[string]Term, need.size(len(cols)))
 	for _, c := range cols {
-		proj[c] = Term{Ref: ColRef{Alias: alias, Col: c}}
+		if need.reads(c) {
+			proj[c] = Term{Ref: ColRef{Alias: alias, Col: c}}
+		}
 	}
 	b := CQ{
 		Scans: []ScanRef{{Alias: alias, Kind: kind, Name: name}},
@@ -263,30 +330,23 @@ func (n *normalizer) addReferentialIntegrity(b *CQ, assocAlias, assocName string
 	}
 }
 
-func (n *normalizer) innerJoin(v cqt.Join) ([]CQ, error) {
-	lbs, err := n.normalize(v.L)
-	if err != nil {
-		return nil, err
-	}
-	rbs, err := n.normalize(v.R)
-	if err != nil {
-		return nil, err
-	}
+// innerJoin pairs every left block with every right block whose join
+// columns can match, keeping the columns need reads.
+func innerJoin(lbs, rbs []CQ, on [][2]string, need colSet) ([]CQ, error) {
 	var out []CQ
 	for _, lb := range lbs {
 		for _, rb := range rbs {
 			m := CQ{
-				Scans: append(append([]ScanRef{}, lb.Scans...), rb.Scans...),
-				Eqs:   append(append([][2]ColRef{}, lb.Eqs...), rb.Eqs...),
+				Scans: append(append(make([]ScanRef, 0, len(lb.Scans)+len(rb.Scans)), lb.Scans...), rb.Scans...),
+				Eqs:   append(append(make([][2]ColRef, 0, len(lb.Eqs)+len(rb.Eqs)+len(on)), lb.Eqs...), rb.Eqs...),
 				Cond:  cond.NewAnd(lb.Cond, rb.Cond),
-				Proj:  map[string]Term{},
 			}
 			m.Subject = lb.Subject
 			if m.Subject == "" {
 				m.Subject = rb.Subject
 			}
 			ok := true
-			for _, p := range v.On {
+			for _, p := range on {
 				lt, lok := lb.Proj[p[0]]
 				rt, rok := rb.Proj[p[1]]
 				if !lok || !rok {
@@ -320,11 +380,16 @@ func (n *normalizer) innerJoin(v cqt.Join) ([]CQ, error) {
 			}
 			// Merge projections, left side winning on shared names (the
 			// evaluator requires shared names to be join-equated).
+			m.Proj = make(map[string]Term, need.size(len(lb.Proj)+len(rb.Proj)))
 			for k, t := range rb.Proj {
-				m.Proj[k] = t
+				if need.reads(k) {
+					m.Proj[k] = t
+				}
 			}
 			for k, t := range lb.Proj {
-				m.Proj[k] = t
+				if need.reads(k) {
+					m.Proj[k] = t
+				}
 			}
 			out = append(out, m)
 		}
@@ -332,25 +397,31 @@ func (n *normalizer) innerJoin(v cqt.Join) ([]CQ, error) {
 	return out, nil
 }
 
-// padBlocks builds the "keep side, NULL-pad other" blocks used in outer
-// join over-approximation.
-func (n *normalizer) padBlocks(keep, pad cqt.Expr) ([]CQ, error) {
-	kbs, err := n.normalize(keep)
-	if err != nil {
-		return nil, err
-	}
+// padBlocks appends to out the "keep side, NULL-pad other" blocks of outer
+// join over-approximation: each kept block with the columns need reads,
+// and NULL for every read column of pad it lacks. Each copy gets its own
+// Proj; its Scans and Eqs are the kept block's.
+func (n *normalizer) padBlocks(out, keep []CQ, pad cqt.Expr, need colSet) ([]CQ, error) {
 	padCols, err := n.cat.Cols(pad)
 	if err != nil {
 		return nil, err
 	}
-	for i := range kbs {
-		for _, c := range padCols {
-			if _, exists := kbs[i].Proj[c]; !exists {
-				kbs[i].Proj[c] = Term{Lit: &cqt.Literal{Null: true}}
+	for _, b := range keep {
+		proj := make(map[string]Term, need.size(len(b.Proj)+len(padCols)))
+		for k, t := range b.Proj {
+			if need.reads(k) {
+				proj[k] = t
 			}
 		}
+		for _, c := range padCols {
+			if _, exists := proj[c]; !exists && need.reads(c) {
+				proj[c] = nullTerm
+			}
+		}
+		b.Proj = proj
+		out = append(out, b)
 	}
-	return kbs, nil
+	return out, nil
 }
 
 func litEqual(a, b *cqt.Literal) bool {

@@ -85,7 +85,7 @@ func (op *AddAssociationFK) apply(ic *Incremental, m *frag.Mapping, v *frag.View
 	}
 	lhs := cqt.Project{In: cqt.Select{In: cqt.ScanSet{Set: set1.Name}, Cond: cond.TypeIs{Type: op.E1}}, Cols: lcols}
 	rhs := cqt.Project{In: oldView.Q, Cols: rcols}
-	if err := ic.checkContainment(ch, lhs, rhs,
+	if err := ic.checkContainment(ch, lhs, ch.PrenormalizeRight(rhs),
 		fmt.Sprintf("endpoint %s cannot be mapped to the key of %s (check 2)", op.E1, op.Table)); err != nil {
 		return err
 	}
@@ -97,8 +97,7 @@ func (op *AddAssociationFK) apply(ic *Incremental, m *frag.Mapping, v *frag.View
 		if !overlap(fk.Cols, op.KeyCols2) {
 			continue
 		}
-		refView := v.Update[fk.RefTable]
-		if refView == nil {
+		if v.Update[fk.RefTable] == nil {
 			return fmt.Errorf("validation failed: foreign key %s references unmapped table %s (check 3)", fk.Name, fk.RefTable)
 		}
 		l2 := make([]cqt.ProjCol, len(key2))
@@ -111,13 +110,8 @@ func (op *AddAssociationFK) apply(ic *Incremental, m *frag.Mapping, v *frag.View
 			}
 			l2[i] = cqt.ColAs(k, gamma)
 		}
-		r2 := make([]cqt.ProjCol, len(fk.RefCols))
-		for i, c := range fk.RefCols {
-			r2[i] = cqt.Col(c)
-		}
 		lhs2 := cqt.Project{In: cqt.Select{In: cqt.ScanSet{Set: set2.Name}, Cond: cond.TypeIs{Type: op.E2}}, Cols: l2}
-		rhs2 := cqt.Project{In: refView.Q, Cols: r2}
-		if err := ic.checkContainment(ch, lhs2, rhs2,
+		if err := ic.containsInView(ch, v, lhs2, fk.RefTable, fk.RefCols,
 			fmt.Sprintf("foreign key %s would be violated by association %s (check 3)", fk.Name, op.Name)); err != nil {
 			return err
 		}
@@ -280,8 +274,7 @@ func (op *AddAssociationJT) apply(ic *Incremental, m *frag.Mapping, v *frag.View
 		if endType == "" {
 			continue
 		}
-		refView := v.Update[fk.RefTable]
-		if refView == nil {
+		if v.Update[fk.RefTable] == nil {
 			return fmt.Errorf("validation failed: foreign key %s references unmapped table %s", fk.Name, fk.RefTable)
 		}
 		set := m.Client.SetFor(endType)
@@ -299,13 +292,8 @@ func (op *AddAssociationJT) apply(ic *Incremental, m *frag.Mapping, v *frag.View
 			}
 			l[i] = cqt.ColAs(attr, fk.RefCols[i])
 		}
-		r := make([]cqt.ProjCol, len(fk.RefCols))
-		for i, c := range fk.RefCols {
-			r[i] = cqt.Col(c)
-		}
 		lhs := cqt.Project{In: cqt.Select{In: cqt.ScanSet{Set: set.Name}, Cond: cond.TypeIs{Type: endType}}, Cols: l}
-		rhs := cqt.Project{In: refView.Q, Cols: r}
-		if err := ic.checkContainment(ch, lhs, rhs,
+		if err := ic.containsInView(ch, v, lhs, fk.RefTable, fk.RefCols,
 			fmt.Sprintf("join-table foreign key %s would be violated by association %s", fk.Name, op.Name)); err != nil {
 			return err
 		}

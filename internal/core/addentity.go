@@ -348,12 +348,7 @@ func (op *AddEntity) validate(ic *Incremental, m *frag.Mapping, v *frag.Views, t
 					lcols[i] = cqt.ColAs(ec, beta[i])
 				}
 				lhs := cqt.Project{In: cqt.ScanAssoc{Assoc: a.Name}, Cols: lcols}
-				rcols := make([]cqt.ProjCol, len(beta))
-				for i, b := range beta {
-					rcols[i] = cqt.Col(b)
-				}
-				rhs := cqt.Project{In: v.Update[g.Table].Q, Cols: rcols}
-				if err := ic.checkContainment(ch, lhs, rhs,
+				if err := ic.containsInView(ch, v, lhs, g.Table, beta,
 					fmt.Sprintf("association %s can no longer store keys of new type %s (check 1)", a.Name, op.Name)); err != nil {
 					return err
 				}
@@ -364,7 +359,7 @@ func (op *AddEntity) validate(ic *Incremental, m *frag.Mapping, v *frag.Views, t
 					if !overlap(fk.Cols, beta) {
 						continue
 					}
-					if err := ic.fkCheck(ch, m, v, g.Table, fk, nil); err != nil {
+					if err := ic.fkCheck(ch, m, v, g.Table, fk); err != nil {
 						return err
 					}
 				}
@@ -381,7 +376,7 @@ func (op *AddEntity) validate(ic *Incremental, m *frag.Mapping, v *frag.Views, t
 		if !overlap(fk.Cols, falpha) {
 			continue
 		}
-		if err := ic.fkCheck(ch, m, v, op.Table, fk, nil); err != nil {
+		if err := ic.fkCheck(ch, m, v, op.Table, fk); err != nil {
 			return err
 		}
 	}

@@ -208,7 +208,7 @@ func (op *AddEntityPart) apply(ic *Incremental, m *frag.Mapping, v *frag.Views) 
 			if !overlap(fk.Cols, falpha) {
 				continue
 			}
-			if err := ic.fkCheck(ch, m, v, p.Table, fk, nil); err != nil {
+			if err := ic.fkCheck(ch, m, v, p.Table, fk); err != nil {
 				return err
 			}
 		}

@@ -147,7 +147,7 @@ func (op *AddProperty) apply(ic *Incremental, m *frag.Mapping, v *frag.Views) er
 			if !written {
 				continue
 			}
-			if err := ic.fkCheck(ch, m, v, op.Table, fk, nil); err != nil {
+			if err := ic.fkCheck(ch, m, v, op.Table, fk); err != nil {
 				return err
 			}
 		}

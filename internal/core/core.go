@@ -333,14 +333,23 @@ func (ic *Incremental) tautology(t cond.Theory, x cond.Expr) bool {
 	return !ic.satisfiable(t, cond.NewNot(x))
 }
 
-func (ic *Incremental) checker(m *frag.Mapping) *containment.Checker {
+func (ic *Incremental) checker(m *frag.Mapping) *validator {
 	ch := containment.NewChecker(m.Catalog())
 	ch.Simplify = !ic.Opts.NoSimplify
 	ch.Cache = ic.satCache()
 	ch.Budget = ic.Opts.Budget
 	ch.Start = ic.start
 	ch.Op = "incremental compile"
-	return ch
+	return &validator{Checker: ch, pres: map[string]*containment.Prenorm{}}
+}
+
+// validator is one SMO's neighbourhood validation: the containment checker
+// its checks share, and the right sides they have prenormalized, one per
+// update view and projected columns (the views do not change while an SMO
+// validates).
+type validator struct {
+	*containment.Checker
+	pres map[string]*containment.Prenorm
 }
 
 // applyCtx is the context of the in-flight ApplyCtx (Background for plain
@@ -365,7 +374,7 @@ func (ic *Incremental) valCtx() context.Context {
 	return obsv.ContextWithSpan(ic.applyCtx(), ic.valSpan)
 }
 
-func (ic *Incremental) absorb(ch *containment.Checker) {
+func (ic *Incremental) absorb(ch *validator) {
 	ic.Stats.Containments += ch.Stats.Containments
 	ic.Stats.Implications += ch.Stats.Implications
 	ic.Stats.CacheHits += ch.Stats.CacheHits
@@ -504,15 +513,15 @@ func ancestorsOfP(m *frag.Mapping, p string) []string {
 	return append([]string{p}, m.Client.Ancestors(p)...)
 }
 
-// checkContainment runs one localized containment check and wraps a failed
-// result in the paper's abort semantics. Under Options.SkipValidation (the
-// pipeline fallback path, which re-validates by full compilation) it is a
-// no-op.
-func (ic *Incremental) checkContainment(ch *containment.Checker, a, b cqt.Expr, what string) error {
+// checkContainment runs one localized containment check, a ⊆ b, and wraps
+// a failed result in the paper's abort semantics. Under
+// Options.SkipValidation (the pipeline fallback path, which re-validates by
+// full compilation) it is a no-op.
+func (ic *Incremental) checkContainment(ch *validator, a cqt.Expr, b *containment.Prenorm, what string) error {
 	if ic.Opts.SkipValidation {
 		return nil
 	}
-	ok, err := ch.ContainsCtx(ic.valCtx(), a, b)
+	ok, err := ch.ContainsPreCtx(ic.valCtx(), a, b)
 	if err != nil {
 		return err
 	}
@@ -522,17 +531,30 @@ func (ic *Incremental) checkContainment(ch *containment.Checker, a, b cqt.Expr, 
 	return nil
 }
 
+// containsInView checks lhs ⊆ π_cols(Q_table) against the update view of
+// table. The right side is prenormalized once per (table, columns) for the
+// whole validation, by the first check that uses it.
+func (ic *Incremental) containsInView(ch *validator, v *frag.Views, lhs cqt.Expr, table string, cols []string, what string) error {
+	key := table + "\x00" + strings.Join(cols, "\x00")
+	pre := ch.pres[key]
+	if pre == nil {
+		rcols := make([]cqt.ProjCol, len(cols))
+		for i, c := range cols {
+			rcols[i] = cqt.Col(c)
+		}
+		pre = ch.PrenormalizeRight(cqt.Project{In: v.Update[table].Q, Cols: rcols})
+		ch.pres[key] = pre
+	}
+	return ic.checkContainment(ch, lhs, pre, what)
+}
+
 // fkCheck validates one foreign key of table tab against the current update
-// views: π_{β AS γ}(σ_{β NOT NULL}(Q_tab)) ⊆ π_γ(Q_ref). pres, when
-// non-nil, shares prenormalized right sides between checks that reference
-// the same table through the same columns (see wideFKRecheck); one-off
-// checks pass nil.
-func (ic *Incremental) fkCheck(ch *containment.Checker, m *frag.Mapping, v *frag.Views, tab string, fk rel.ForeignKey, pres map[string]*containment.Prenorm) error {
+// views: π_{β AS γ}(σ_{β NOT NULL}(Q_tab)) ⊆ π_γ(Q_ref).
+func (ic *Incremental) fkCheck(ch *validator, m *frag.Mapping, v *frag.Views, tab string, fk rel.ForeignKey) error {
 	if ic.Opts.SkipValidation {
 		return nil
 	}
-	refView, ok := v.Update[fk.RefTable]
-	if !ok {
+	if _, ok := v.Update[fk.RefTable]; !ok {
 		return fmt.Errorf("validation failed: foreign key %s of %s references unmapped table %s", fk.Name, tab, fk.RefTable)
 	}
 	tabView, ok := v.Update[tab]
@@ -546,41 +568,13 @@ func (ic *Incremental) fkCheck(ch *containment.Checker, m *frag.Mapping, v *frag
 		cols = append(cols, cqt.ColAs(c, fk.RefCols[i]))
 	}
 	lhs := cqt.Project{In: cqt.Select{In: tabView.Q, Cond: cond.NewAnd(notNull...)}, Cols: cols}
-	rcols := make([]cqt.ProjCol, 0, len(fk.RefCols))
-	for _, c := range fk.RefCols {
-		rcols = append(rcols, cqt.Col(c))
-	}
-	rhs := cqt.Project{In: refView.Q, Cols: rcols}
-	what := fmt.Sprintf("update views violate foreign key %s → %s", fk.Name, fk.RefTable)
-
-	if pres == nil {
-		return ic.checkContainment(ch, lhs, rhs, what)
-	}
-	key := fk.RefTable + "\x00" + strings.Join(fk.RefCols, "\x00")
-	pre, ok := pres[key]
-	if !ok {
-		var err error
-		pre, err = ch.PrenormalizeRight(rhs)
-		if err != nil {
-			return err
-		}
-		pres[key] = pre
-	}
-	cok, err := ch.ContainsPreCtx(ic.valCtx(), lhs, pre)
-	if err != nil {
-		return err
-	}
-	if !cok {
-		return fmt.Errorf("validation failed: %s", what)
-	}
-	return nil
+	return ic.containsInView(ch, v, lhs, fk.RefTable, fk.RefCols,
+		fmt.Sprintf("update views violate foreign key %s → %s", fk.Name, fk.RefTable))
 }
 
 // wideFKRecheck re-validates every foreign key of every mapped table (the
-// neighbourhood ablation). The referenced-view side of each containment is
-// prenormalized once per (table, columns) pair and shared across the sweep.
-func (ic *Incremental) wideFKRecheck(ch *containment.Checker, m *frag.Mapping, v *frag.Views) error {
-	pres := map[string]*containment.Prenorm{}
+// neighbourhood ablation).
+func (ic *Incremental) wideFKRecheck(ch *validator, m *frag.Mapping, v *frag.Views) error {
 	for _, tn := range m.MappedTables() {
 		tab := m.Store.Table(tn)
 		for _, fk := range tab.FKs {
@@ -595,7 +589,7 @@ func (ic *Incremental) wideFKRecheck(ch *containment.Checker, m *frag.Mapping, v
 			if !written {
 				continue
 			}
-			if err := ic.fkCheck(ch, m, v, tn, fk, pres); err != nil {
+			if err := ic.fkCheck(ch, m, v, tn, fk); err != nil {
 				return err
 			}
 		}

@@ -102,7 +102,7 @@ func (op *RefactorAssocToInheritance) apply(ic *Incremental, m *frag.Mapping, v 
 		if !overlap(fk.Cols, fkCols) {
 			continue
 		}
-		if err := ic.fkCheck(ch, m, v, g.Table, fk, nil); err != nil {
+		if err := ic.fkCheck(ch, m, v, g.Table, fk); err != nil {
 			return err
 		}
 	}

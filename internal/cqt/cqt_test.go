@@ -172,6 +172,27 @@ func TestSimplifyLOJElimination(t *testing.T) {
 	}
 }
 
+// TestSimplifyLOJPushdownRepeatedName pushes a projection into the left
+// input of an outer join whose left side outputs one name twice: the
+// pushed-down projection keeps the name once, so the rewrite terminates
+// (it used to push the same two-column projection forever).
+func TestSimplifyLOJPushdownRepeatedName(t *testing.T) {
+	cat := fixtureCatalog(t)
+	j := Join{Kind: LeftOuter,
+		L:  Project{In: ScanTable{Table: "HR"}, Cols: []ProjCol{Col("Id"), LitAs(Const(cond.Int(1)), "Id")}},
+		R:  ScanTable{Table: "Emp"},
+		On: [][2]string{{"Id", "Dept"}}}
+	p := Project{In: j, Cols: []ProjCol{LitAs(Const(cond.Int(2)), "One")}}
+	pr, ok := Simplify(cat, p).(Project)
+	if !ok {
+		t.Fatalf("got %s", Format(Simplify(cat, p)))
+	}
+	l, err := cat.Cols(pr.In.(Join).L)
+	if err != nil || len(l) != 1 || l[0] != "Id" {
+		t.Fatalf("left input outputs %v (%v), want [Id]: %s", l, err, Format(pr))
+	}
+}
+
 func TestUnionFlattenAndEmptyElimination(t *testing.T) {
 	cat := fixtureCatalog(t)
 	u := UnionAll{Inputs: []Expr{

@@ -97,10 +97,14 @@ func simplify(cat *Catalog, e Expr) (Expr, bool) {
 					needed[p[0]] = true
 				}
 				if len(needed) < len(lcols) {
+					// A name the left input outputs twice (a projection's
+					// outputs need not be distinct) is kept once, so the
+					// pushed projection is not pushed again.
 					keep := make([]ProjCol, 0, len(needed))
 					for _, c := range lcols {
 						if needed[c] {
 							keep = append(keep, Col(c))
+							needed[c] = false
 						}
 					}
 					nl, _ := simplify(cat, Project{In: j.L, Cols: keep})

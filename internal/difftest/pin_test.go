@@ -29,14 +29,14 @@ var pinnedCompiles = []struct {
 	typeOnly    bool
 }{
 	{"chain-40", func() (*frag.Mapping, error) { return workload.ChainE(40) },
-		"1d478a51edbc768418665e9b2993c3f5f066db9da94848659a064af1703d856a",
+		"6d78eb63cb57cded7d4d57615380b8129d52a569418577277c29ded8f9e935aa",
 		"e429e73656828565ac2be0d03c6b1445d1facf830c2e0a9fabb9f884cd536bb4", false},
 	{"customer-60", func() (*frag.Mapping, error) {
 		return workload.CustomerE(workload.CustomerOptions{
 			Types: 60, Hierarchies: 8, LargestTPH: 25, Associations: 8, SharedTableFKs: 2,
 		})
 	},
-		"11b0213620962370048cea661c9a2b0c26a9ab106cad9fd07f7807f5f6f5260f",
+		"efcc0a3b063f90a851630e4f042dabbc70da450dcbb9538c6d690c4c9e1a4de3",
 		"727aa0b5c0b6187f6a69a3354175fef18fb2e48e3adba9339cce9d75f9d75693", false},
 	{"hubrim-tph-2x4", func() (*frag.Mapping, error) {
 		return workload.HubRimE(workload.HubRimOptions{N: 2, M: 4, TPH: true})
